@@ -84,10 +84,16 @@ std::uint64_t Options::schedule_fingerprint() const {
   h.add_f64(greedy_tolerance);
   // The measured-rung knobs change which grouping wins, so they join the
   // digest — but only under kMeasured, keeping every pre-existing cache key
-  // for the other schedulers byte-stable across this addition.
+  // for the other schedulers byte-stable across this addition.  The
+  // execution knobs join for the same reason: the shoot-out's winner is a
+  // wall-clock verdict taken at this thread count, backend and kernel set.
   if (scheduler == Scheduler::kMeasured) {
     h.add_i32(measured_top_k);
     h.add_i32(measured_repeats);
+    h.add_i32(num_threads);
+    h.add_i32(vector_backend ? 1 : 0);
+    h.add_i32(pool_backend ? 1 : 0);
+    h.add_i32(fast_transcendentals ? 1 : 0);
   }
   return h.digest();
 }

@@ -174,7 +174,7 @@ double DpFusion::group_cost(NodeSet quotient_group) {
   if (stages.empty()) return 0.0;  // dummy-only group
   const auto it = cost_memo_.find(stages.bits());
   if (it != cost_memo_.end()) return it->second;
-  const double c = model_->cost(stages).cost;
+  const double c = model_->cost(stages).candidate_cost();
   cost_memo_.emplace(stages.bits(), c);
   return c;
 }

@@ -15,6 +15,30 @@ std::int64_t round_up_to_multiple(std::int64_t v, std::int64_t g) {
 
 }  // namespace
 
+RunTile run_tile(const AlignResult& align,
+                 const std::vector<std::int64_t>& tile_sizes) {
+  RunTile rt;
+  rt.box.rank = align.num_classes;
+  for (int d = 0; d < rt.box.rank; ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    const std::int64_t ext = align.class_extent[i];
+    const std::int64_t t = tile_sizes[i];
+    rt.clipped = rt.clipped || t > ext;
+    rt.inflated = rt.inflated || (align.class_granularity[i] > 1 && t >= ext);
+    rt.box.lo[d] = 0;
+    rt.box.hi[d] = std::min(t, ext) - 1;
+  }
+  return rt;
+}
+
+std::int64_t run_tile_volume(const Pipeline& pl, NodeSet group,
+                             const AlignResult& align,
+                             const std::vector<std::int64_t>& tile_sizes) {
+  const RunTile rt = run_tile(align, tile_sizes);
+  return compute_group_regions(pl, group, align, rt.box, rt.clipped)
+      .computed_volume;
+}
+
 std::vector<std::int64_t> CostModel::compute_tile_sizes(
     const ReuseInfo& reuse, const AlignResult& align,
     std::int64_t tile_footprint, std::int64_t num_buffers,
@@ -96,24 +120,29 @@ GroupCost CostModel::cost_for_cache(NodeSet group, const AlignResult& align,
   gc.tile_sizes = compute_tile_sizes(reuse, align, gc.tile_footprint,
                                      num_buffers, m_.innermost_tile);
 
-  // Interior tile (unclamped) — boundary effects excluded from the model.
-  Box tile;
-  tile.rank = align.num_classes;
-  for (int d = 0; d < tile.rank; ++d) {
-    tile.lo[d] = 0;
-    tile.hi[d] = gc.tile_sizes[static_cast<std::size_t>(d)] - 1;
-  }
-  const GroupRegions regions =
-      compute_group_regions(*pl_, group, align, tile, /*clamp_to_domain=*/false);
+  // Interior tile (unclamped) — boundary effects excluded from the model —
+  // unless granularity rounding pushed a size past its class extent: the
+  // tile that runs then spans the whole class, so it is scored clamped to
+  // the extents and clipped to the stage domains.
+  const RunTile tile = run_tile(align, gc.tile_sizes);
+  const GroupRegions regions = compute_group_regions(
+      *pl_, group, align, tile.box, /*clamp_to_domain=*/tile.clipped);
   gc.overlap = regions.overlap_volume;
 
   gc.n_tiles = 1;
-  for (int d = 0; d < tile.rank; ++d)
+  for (int d = 0; d < tile.box.rank; ++d)
     gc.n_tiles = mul_or_throw(
         gc.n_tiles,
         ceil_div(align.class_extent[static_cast<std::size_t>(d)],
                  gc.tile_sizes[static_cast<std::size_t>(d)]),
         "group tile count");
+  // Line 15 promises a tile that fits the cache and enough tiles to feed
+  // the cores.  A tile rounded out to its class extent can break both: it
+  // may be the whole group on one core, and far more than tileFootprint.
+  // Such a multi-stage group must keep more than one tile and fit L2.
+  gc.keeps_tile_guarantees =
+      group.size() <= 1 || !tile.inflated ||
+      (gc.n_tiles > 1 && regions.computed_volume <= m_.l2_floats());
 
   const double comp_vol =
       std::max<double>(1.0, static_cast<double>(regions.computed_volume));

@@ -14,7 +14,10 @@
 // redundant-computation volume exceeds the tile's compute volume, L2-sized
 // tiles are used instead (Algorithm 2 lines 3-9).  Groups whose dependence
 // vectors cannot be made constant cost infinity.  Tile sizes are NOT
-// restricted to powers of two — a key point of the paper.
+// restricted to powers of two — a key point of the paper.  A multi-stage
+// group whose granularity-rounded tile reaches its extents must still run
+// as more than one tile within L2, or it is flagged
+// (GroupCost::keeps_tile_guarantees) and the DP never forms it.
 #pragma once
 
 #include <limits>
@@ -43,9 +46,37 @@ struct GroupCost {
   double cleanup = 0.0;      // (n_tiles + NCORES - 1) % NCORES
   double rel_overlap = 0.0;  // overlap / owned volume
   double dim_stddev = 0.0;   // dimension-extent standard deviation
+  // False for a multi-stage group whose tile granularity rounding took to
+  // its class extent (RunTile::inflated) when that tile then runs alone or
+  // needs more than L2.  The score stays finite, so a grouping that holds
+  // the group still runs as given; only the DP refuses to form it.
+  bool keeps_tile_guarantees = true;
 
   bool feasible() const { return cost != kInfiniteCost; }
+  // The cost a fusion search sees: infinite unless the group keeps its
+  // tile guarantees.
+  double candidate_cost() const {
+    return keeps_tile_guarantees ? cost : kInfiniteCost;
+  }
 };
+
+// The tile that runs for `tile_sizes`: the box at the reference-space
+// origin with each size clamped to its class extent.  Granularity rounding
+// (to the LCM of the members' scale denominators) can take a size of a deep
+// multi-resolution group to or past its extent.
+struct RunTile {
+  Box box;
+  bool clipped = false;   // some size exceeded its class extent
+  bool inflated = false;  // rounding took some size to its class extent
+};
+RunTile run_tile(const AlignResult& align,
+                 const std::vector<std::int64_t>& tile_sizes);
+
+// Elements that tile computes (all members, halos included; clipped to the
+// stage domains when the tile was): the working set the cache must hold.
+std::int64_t run_tile_volume(const Pipeline& pl, NodeSet group,
+                             const AlignResult& align,
+                             const std::vector<std::int64_t>& tile_sizes);
 
 class CostModel {
  public:

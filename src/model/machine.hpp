@@ -10,6 +10,15 @@
 
 namespace fusedp {
 
+// Revision of the cost model and search that turn a MachineModel into a
+// schedule.  fingerprint(MachineModel) folds it into every schedule-cache
+// key, so a schedule an older model chose is never served, even by a build
+// without a git SHA to compare.  Bump it whenever the same machine can
+// pick a different schedule.  Revision 2: the DP rejects groups whose
+// rounded-out tile runs alone or overflows L2
+// (GroupCost::keeps_tile_guarantees).
+inline constexpr std::int32_t kCostModelRevision = 2;
+
 // Weights of the four cost terms (paper Section 4.1, Table 1).
 //
 // The paper's absolute values ({1.0, 100, 46875, 1.5} on Xeon) are tied to

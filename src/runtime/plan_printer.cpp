@@ -17,10 +17,24 @@ const observe::GroupRecord* measured_group(const observe::RunTrace* trace,
   return nullptr;
 }
 
+// Line 15's promises checked on the tiles group `g` runs.
+void print_tile_check(std::ostringstream& out, const Pipeline& pl,
+                      const GroupPlan& g, const CostModel& model) {
+  const MachineModel& m = model.machine();
+  const bool l2 = model.cost(g.stages).used_l2;
+  out << "// line 15: " << g.total_tiles << " tiles for " << m.cores
+      << " cores";
+  if (g.total_tiles < m.cores) out << " (grid cannot feed the cores)";
+  out << "; run tile " << run_tile_volume(pl, g.stages, g.align, g.tile_sizes)
+      << " floats, " << (l2 ? "L2" : "L1") << " budget "
+      << (l2 ? m.l2_floats() : m.l1_floats()) << " floats\n";
+}
+
 }  // namespace
 
 std::string plan_to_string(const ExecutablePlan& plan,
-                           const observe::RunTrace* trace) {
+                           const observe::RunTrace* trace,
+                           const CostModel* model) {
   const Pipeline& pl = *plan.pipeline;
   std::ostringstream out;
   out << "// executable plan for pipeline '" << pl.name() << "' ("
@@ -46,6 +60,7 @@ std::string plan_to_string(const ExecutablePlan& plan,
           << "  // native, per-cell parallel\n";
       continue;
     }
+    if (model != nullptr) print_tile_check(out, pl, g, *model);
     out << "#pragma omp parallel for schedule(dynamic)  // " << g.total_tiles
         << " independent overlapped tiles"
         << (g.region_template.translatable ? ", translatable region template"

@@ -197,6 +197,7 @@ std::uint64_t fingerprint(const Pipeline& pl) {
 std::uint64_t fingerprint(const MachineModel& m) {
   Fnv64 h;
   h.add_str("fusedp-machine-v1");
+  h.add_i32(kCostModelRevision);
   h.add_str(m.name);
   h.add_i64(m.l1_bytes);
   h.add_i64(m.l2_bytes);

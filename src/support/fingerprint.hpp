@@ -71,8 +71,8 @@ std::uint64_t fingerprint(const Pipeline& pl);
 
 // Fingerprint of everything the cost model reads from the machine: cache
 // sizes, core count, vector width, INNERMOSTTILESIZE and the w1..w4
-// weights.  Two machines with equal fingerprints choose identical
-// schedules.
+// weights, plus kCostModelRevision.  Two machines with equal fingerprints
+// choose identical schedules.
 std::uint64_t fingerprint(const MachineModel& machine);
 
 }  // namespace fusedp

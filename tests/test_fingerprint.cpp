@@ -147,6 +147,46 @@ TEST(OptionsFingerprintTest, CoversScheduleKnobsOnly) {
   EXPECT_EQ(cache.schedule_fingerprint(), fp);
 }
 
+// Under kMeasured the winner is a wall-clock verdict, so each execution
+// knob that changes wall clock must split the key; under every other
+// scheduler the key stays byte-stable across that knob.
+void expect_measured_only(const char* field, void (*perturb)(Options&)) {
+  for (Scheduler which : {Scheduler::kMeasured, Scheduler::kAuto,
+                          Scheduler::kDp, Scheduler::kGreedy}) {
+    Options base;
+    base.scheduler = which;
+    Options changed = base;
+    perturb(changed);
+    if (which == Scheduler::kMeasured)
+      EXPECT_NE(changed.schedule_fingerprint(), base.schedule_fingerprint())
+          << field;
+    else
+      EXPECT_EQ(changed.schedule_fingerprint(), base.schedule_fingerprint())
+          << field << " under " << scheduler_name(which);
+  }
+}
+
+TEST(OptionsFingerprintTest, MeasuredKeyCoversNumThreads) {
+  expect_measured_only("num_threads", [](Options& o) { o.num_threads = 8; });
+}
+
+TEST(OptionsFingerprintTest, MeasuredKeyCoversVectorBackend) {
+  expect_measured_only("vector_backend", [](Options& o) {
+    o.vector_backend = !o.vector_backend;
+  });
+}
+
+TEST(OptionsFingerprintTest, MeasuredKeyCoversPoolBackend) {
+  expect_measured_only("pool_backend",
+                       [](Options& o) { o.pool_backend = !o.pool_backend; });
+}
+
+TEST(OptionsFingerprintTest, MeasuredKeyCoversFastTranscendentals) {
+  expect_measured_only("fast_transcendentals", [](Options& o) {
+    o.fast_transcendentals = !o.fast_transcendentals;
+  });
+}
+
 TEST(BuildShaTest, NonEmpty) {
   const char* sha = build_git_sha();
   ASSERT_NE(sha, nullptr);

@@ -8,6 +8,7 @@
 #include "fusion/dp.hpp"
 #include "fusion/incremental.hpp"
 #include "pipelines/pipelines.hpp"
+#include "runtime/plan.hpp"
 #include "test_util.hpp"
 
 namespace fusedp {
@@ -116,6 +117,31 @@ TEST(DpTest, ValidOnAllBenchmarks) {
         << info.key << ": " << why;
     EXPECT_LT(g.total_cost, kInfiniteCost);
   }
+}
+
+TEST(DpTest, InterpolateFusedGroupsHaveMoreThanOneTile) {
+  // Paper/2 interpolate on a 4-core, 2 MB-L2 machine.  Fusing all 49
+  // stages rounds the tile past the image, so the group would run as one
+  // tile on one core; the DP must instead pick groups whose tile grid can
+  // spread over the cores.
+  const PipelineSpec spec = make_benchmark("interpolate", 2);
+  const Pipeline& pl = *spec.pipeline;
+  MachineModel m = MachineModel::xeon_haswell();
+  m.cores = 4;
+  m.l2_bytes = 2 * 1024 * 1024;
+  const CostModel model(pl, m);
+  DpFusion dp(pl, model);
+  const Grouping g = dp.run();
+  const ExecutablePlan plan = lower(pl, g);
+  int fused = 0;
+  for (const GroupPlan& gp : plan.groups) {
+    if (gp.stages.size() < 2) continue;
+    ++fused;
+    EXPECT_GT(gp.total_tiles, 1) << gp.stages.to_string();
+    EXPECT_TRUE(model.cost(gp.stages).keeps_tile_guarantees)
+        << gp.stages.to_string();
+  }
+  EXPECT_GT(fused, 0);
 }
 
 TEST(DpTest, NeverWorseThanSingletons) {

@@ -46,6 +46,35 @@ TEST(PlanPrinterTest, MentionsStagesAndTiles) {
   EXPECT_NE(s.find("tile ("), std::string::npos);
 }
 
+TEST(PlanPrinterTest, ShowsLine15ChecksAndMarksStarvedGrids) {
+  // Interpolate fused whole at paper/16 runs as one tile: the printer must
+  // say so against the model's core count, next to the run tile's volume.
+  const PipelineSpec spec = make_benchmark("interpolate", 16);
+  const Pipeline& pl = *spec.pipeline;
+  MachineModel m = MachineModel::xeon_haswell();
+  m.cores = 4;
+  const CostModel model(pl, m);
+  Grouping whole;
+  GroupSchedule all;
+  for (int i = 0; i < pl.num_stages(); ++i) all.stages = all.stages.with(i);
+  whole.groups.push_back(all);
+  complete_grouping(pl, model, whole);
+  const std::string s = plan_to_string(lower(pl, whole), nullptr, &model);
+  EXPECT_NE(s.find("line 15: 1 tiles for 4 cores (grid cannot feed the "
+                   "cores); run tile "),
+            std::string::npos)
+      << s;
+
+  // Singletons tile finely: checks printed, no group marked.
+  const std::string fine =
+      plan_to_string(lower(pl, singleton_grouping(pl, model)), nullptr, &model);
+  EXPECT_NE(fine.find("line 15: "), std::string::npos);
+  EXPECT_EQ(fine.find("cannot feed"), std::string::npos) << fine;
+  // Without a model the plan text is unchanged.
+  EXPECT_EQ(plan_to_string(lower(pl, whole)).find("line 15"),
+            std::string::npos);
+}
+
 TEST(PlanPrinterTest, ReductionRendered) {
   const PipelineSpec spec = make_bilateral(64, 64);
   const CostModel model(*spec.pipeline, MachineModel::xeon_haswell());

@@ -165,6 +165,57 @@ TEST(CostTest, L2FallbackWhenOverlapDominates) {
   EXPECT_TRUE(gc.used_l2);
 }
 
+// A 4-core host with a 2 MB L2, the shape of the machines the deep
+// multi-resolution cases below are sized for.
+MachineModel four_core_2mb() {
+  MachineModel m = MachineModel::xeon_haswell();
+  m.cores = 4;
+  m.l2_bytes = 2 * 1024 * 1024;
+  return m;
+}
+
+TEST(CostTest, InflatedTileOverL2IsNotAFusionCandidate) {
+  // Interpolate's ten downsampling levels round the whole-pipeline tile far
+  // past the group's class extents.  The tile that runs is then the whole
+  // paper/2 image on one core, far more than L2, so the group is flagged,
+  // though it keeps a finite score for schedules that hold it as given.
+  const PipelineSpec spec = make_benchmark("interpolate", 2);
+  const Pipeline& pl = *spec.pipeline;
+  const MachineModel m = four_core_2mb();
+  const CostModel model(pl, m);
+  const NodeSet all = all_stages(pl);
+  const GroupCost gc = model.cost(all);
+  ASSERT_TRUE(gc.feasible());
+  const AlignResult align = solve_alignment(pl, all);
+  EXPECT_TRUE(run_tile(align, gc.tile_sizes).inflated);
+  EXPECT_GT(run_tile_volume(pl, all, align, gc.tile_sizes), m.l2_floats());
+  EXPECT_FALSE(gc.keeps_tile_guarantees);
+  EXPECT_EQ(gc.n_tiles, 1);
+
+  for (int s = 0; s < pl.num_stages(); ++s) {
+    const GroupCost single = model.cost(NodeSet::single(s));
+    EXPECT_TRUE(single.feasible()) << pl.stage(s).name;
+    EXPECT_TRUE(single.keeps_tile_guarantees) << pl.stage(s).name;
+  }
+}
+
+TEST(CostTest, InflatedTileRunningAloneIsNotAFusionCandidate) {
+  // Fitting L2 is not enough: at paper/16 the whole rounded-out tile fits
+  // L2, but it is still the whole group as one tile on one core.
+  const PipelineSpec spec = make_benchmark("interpolate", 16);
+  const Pipeline& pl = *spec.pipeline;
+  const MachineModel m = four_core_2mb();
+  const CostModel model(pl, m);
+  const NodeSet all = all_stages(pl);
+  const GroupCost gc = model.cost(all);
+  ASSERT_TRUE(gc.feasible());
+  const AlignResult align = solve_alignment(pl, all);
+  ASSERT_TRUE(run_tile(align, gc.tile_sizes).inflated);
+  EXPECT_LE(run_tile_volume(pl, all, align, gc.tile_sizes), m.l2_floats());
+  EXPECT_EQ(gc.n_tiles, 1);
+  EXPECT_FALSE(gc.keeps_tile_guarantees);
+}
+
 TEST(CostTest, EmptyGroupCostsZero) {
   const PipelineSpec spec = make_blur(64, 64);
   const CostModel model(*spec.pipeline, MachineModel::xeon_haswell());

@@ -4,6 +4,9 @@
 // DAGs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "fusion/manual.hpp"
 #include "model/cost.hpp"
 #include "pipelines/pipelines.hpp"
@@ -18,14 +21,18 @@ struct Combo {
   const char* machine;
 };
 
+// std::string rather than const char* parameters: gtest prints a tuple of
+// const char* as pointer addresses, which would make the case names change
+// from one build (and one run) to the next.
 class CostWellFormed
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
 
 TEST_P(CostWellFormed, FiniteCostsHaveValidTiles) {
   const auto [bench, machine_name] = GetParam();
   const PipelineSpec spec = make_benchmark(bench, 16);
   const Pipeline& pl = *spec.pipeline;
-  const MachineModel machine = std::string(machine_name) == "xeon"
+  const MachineModel machine = machine_name == "xeon"
                                    ? MachineModel::xeon_haswell()
                                    : MachineModel::amd_opteron();
   const CostModel model(pl, machine);
@@ -44,6 +51,17 @@ TEST_P(CostWellFormed, FiniteCostsHaveValidTiles) {
     if (!gc.feasible()) continue;
     const AlignResult align = solve_alignment(pl, g);
     ASSERT_TRUE(align.constant);
+    // Line 15's cache promise: a multi-stage group the DP may form runs a
+    // tile that fits L2 once clamped to the group's extents.  Rounded-out
+    // tiles must also leave more than one tile.
+    if (g.size() > 1 && gc.keeps_tile_guarantees) {
+      EXPECT_LE(run_tile_volume(pl, g, align, gc.tile_sizes),
+                machine.l2_floats())
+          << g.to_string();
+      if (run_tile(align, gc.tile_sizes).inflated) {
+        EXPECT_GT(gc.n_tiles, 1) << g.to_string();
+      }
+    }
     ASSERT_EQ(static_cast<int>(gc.tile_sizes.size()), align.num_classes);
     EXPECT_GE(gc.n_tiles, 1);
     EXPECT_GE(gc.overlap, 0);

@@ -271,6 +271,61 @@ TEST(SessionRoundTripTest, EverySchedulerChoiceProducesValidSession) {
   }
 }
 
+TEST(SessionRoundTripTest, NonDpInterpolateGroupingsStayWellFormed) {
+  // The DP no longer forms groups whose clamped tile overflows L2, and
+  // paper/2 interpolate is where that bites.  Every other way a grouping
+  // reaches a Session must still score finite, carry tile sizes, and run
+  // bit-identically to the reference; a caller's grouping runs as given.
+  const PipelineSpec spec = make_benchmark("interpolate", 2);
+  const Pipeline& pl = *spec.pipeline;
+  const std::vector<Buffer> inputs = spec.make_inputs();
+  const std::vector<Buffer> ref = run_reference(pl, inputs);
+  Options o;
+  o.num_threads = 2;
+  o.machine = MachineModel::xeon_haswell();
+  o.machine.cores = 4;
+  o.machine.l2_bytes = 2 * 1024 * 1024;
+  const CostModel model(pl, o.machine);
+
+  auto check = [&](const std::string& label, Result<Session> opened) {
+    ASSERT_TRUE(opened.ok()) << label << ": " << opened.error().what();
+    Session s = std::move(opened).value();
+    for (const GroupSchedule& gs : s.grouping().groups) {
+      EXPECT_LT(gs.cost, kInfiniteCost)
+          << label << " " << gs.stages.to_string();
+      EXPECT_FALSE(gs.tile_sizes.empty())
+          << label << " " << gs.stages.to_string();
+    }
+    Result<std::vector<Buffer>> got = s.run(inputs);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.error().what();
+    EXPECT_TRUE(buffers_equal(
+        got.value()[0], ref[static_cast<std::size_t>(pl.outputs()[0])]))
+        << label;
+  };
+
+  for (Scheduler which : {Scheduler::kGreedy, Scheduler::kHalideAuto}) {
+    Options so = o;
+    so.scheduler = which;
+    check(scheduler_name(which), Session::open(pl, so));
+  }
+  check("manual", Session::open(pl, spec.manual_grouping(model), o));
+
+  // The all-in-one group the DP picked before the cache rule, with its
+  // granularity-rounded tile: it must open and run exactly as given.
+  Grouping whole;
+  GroupSchedule all;
+  for (int i = 0; i < pl.num_stages(); ++i) all.stages = all.stages.with(i);
+  all.tile_sizes = model.cost(all.stages).tile_sizes;
+  ASSERT_FALSE(model.cost(all.stages).keeps_tile_guarantees);
+  whole.groups.push_back(all);
+  Result<Session> given = Session::open(pl, whole, o);
+  ASSERT_TRUE(given.ok()) << given.error().what();
+  ASSERT_EQ(given.value().grouping().groups.size(), 1u);
+  EXPECT_EQ(given.value().grouping().groups[0].stages, all.stages);
+  EXPECT_EQ(given.value().grouping().groups[0].tile_sizes, all.tile_sizes);
+  check("caller-provided", std::move(given));
+}
+
 // --- observer-off bit-identity ----------------------------------------------
 
 TEST(SessionObserverTest, TraceCollectionDoesNotChangeOutputs) {

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "api/session.hpp"
+#include "fusion/serialize.hpp"
 #include "pipelines/pipelines.hpp"
 #include "storage/lock.hpp"
 #include "support/fault.hpp"
@@ -490,6 +491,56 @@ TEST(SessionCacheTest, OptionsChangeMissesTheCache) {
   auto t = Session::open(*spec.pipeline, threads);
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(t.value().warm_start());
+}
+
+// The machine fingerprint as it was before kCostModelRevision joined it:
+// the key under which a schedule picked by the earlier cost model sits.
+std::uint64_t pre_revision_machine_fingerprint(const MachineModel& m) {
+  Fnv64 h;
+  h.add_str("fusedp-machine-v1");
+  h.add_str(m.name);
+  h.add_i64(m.l1_bytes);
+  h.add_i64(m.l2_bytes);
+  h.add_i64(m.l3_bytes);
+  h.add_i32(m.cores);
+  h.add_i32(m.vector_width_floats);
+  h.add_i64(m.innermost_tile);
+  h.add_f64(m.weights.w1);
+  h.add_f64(m.weights.w2);
+  h.add_f64(m.weights.w3);
+  h.add_f64(m.weights.w4);
+  return h.digest();
+}
+
+TEST(SessionCacheTest, EarlierCostModelRecordIsNotServed) {
+  // A record the earlier cost model chose, with this very build's SHA so
+  // the stale-SHA check cannot catch it (nor could it at all in a build
+  // whose SHA is empty): only the revision in the key keeps it from being
+  // served.
+  TempDir dir;
+  findb::FindDb::clear_memory_tier();
+  PipelineSpec spec = make_benchmark("unsharp", 16);
+  const Options opts = cache_options(dir.path);
+  findb::CacheKey old_key = session_key(*spec.pipeline, opts);
+  old_key.machine_fp = pre_revision_machine_fingerprint(opts.machine);
+  ASSERT_NE(old_key, session_key(*spec.pipeline, opts));
+
+  findb::FindDb db(opts.findb_options());
+  findb::CacheRecord rec;
+  rec.pipeline = spec.pipeline->name();
+  rec.git_sha = build_git_sha();
+  rec.rung = "full-dp";
+  const CostModel model(*spec.pipeline, opts.machine);
+  rec.schedule_text =
+      grouping_to_text(*spec.pipeline, singleton_grouping(*spec.pipeline, model));
+  ASSERT_TRUE(db.store(old_key, rec).ok());
+  ASSERT_EQ(db.probe(old_key).outcome, findb::ProbeOutcome::kHit);
+  findb::FindDb::clear_memory_tier();
+
+  auto s = Session::open(*spec.pipeline, opts);
+  ASSERT_TRUE(s.ok()) << s.error().what();
+  EXPECT_FALSE(s.value().warm_start());
+  EXPECT_EQ(first_probe(s.value())->outcome, "miss");
 }
 
 }  // namespace

@@ -160,7 +160,9 @@ int cmd_schedule(const Cli& cli, const std::string& bench) {
   const CostModel model(*spec.pipeline, machine_of(cli));
   const Grouping g = make_schedule(cli, spec, model);
   std::printf("%s", g.to_string(*spec.pipeline).c_str());
-  std::printf("\n%s", plan_to_string(lower(*spec.pipeline, g)).c_str());
+  const std::string plan =
+      plan_to_string(lower(*spec.pipeline, g), nullptr, &model);
+  std::printf("\n%s", plan.c_str());
   const std::string save = cli.get("save", "");
   if (!save.empty()) {
     save_grouping(*spec.pipeline, g, save);
@@ -308,7 +310,10 @@ int cmd_run(const Cli& cli, const std::string& bench) {
     Result<observe::Report> rep = session.report();
     if (!rep.ok()) throw rep.error();
     std::printf("\n%s", observe::report_to_string(rep.value()).c_str());
-    std::printf("\n%s", plan_to_string(session.plan(), session.trace()).c_str());
+    const CostModel run_model(pl, session.options().machine);
+    std::printf("\n%s", plan_to_string(session.plan(), session.trace(),
+                                        &run_model)
+                             .c_str());
     // The degradation-ladder post-mortem of the most recent execute().
     std::printf("\n%s",
                 observe::run_report_to_string(session.last_report()).c_str());
