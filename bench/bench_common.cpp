@@ -22,12 +22,8 @@ BenchConfig BenchConfig::from_cli(const Cli& cli, MachineModel machine) {
   cfg.exec.num_threads = cfg.threads;
   cfg.exec.mode = cli.get_env("mode", "row") == "scalar" ? EvalMode::kScalar
                                                          : EvalMode::kRow;
-  cfg.exec.compiled = cli.get_int_env("compiled", 1) != 0;
   cfg.exec.vector_backend = cli.get_int_env("vector", 1) != 0;
   cfg.exec.allow_fma = cli.get_int_env("fma", 0) != 0;
-  cfg.exec.tile_schedule = cli.get_env("schedule", "dynamic") == "static"
-                               ? TileSchedule::kStatic
-                               : TileSchedule::kDynamic;
   cfg.exec.pool_backend = cli.get_int_env("pool-backend", 0) != 0;
   return cfg;
 }
@@ -46,13 +42,10 @@ void BenchConfig::print_header(const char* what) const {
       "runs each (paper: 5 x 500 at full size)\n",
       static_cast<long long>(scale), samples, runs);
   std::printf("# PolyMage-A tuner grid: %s\n", tune.c_str());
-  std::printf("# executor: %s %s backend, %s tiles%s\n\n",
-              exec.compiled ? "compiled" : "interpreted",
-              !exec.compiled ? "row"
-                             : (exec.vector_backend ? "vector"
-                                                    : "scalar-compiled"),
-              exec.tile_schedule == TileSchedule::kDynamic ? "dynamic"
-                                                           : "static",
+  std::printf("# executor: %s backend%s\n\n",
+              exec.mode == EvalMode::kScalar
+                  ? "scalar"
+                  : (exec.vector_backend ? "vector" : "scalar-compiled"),
               exec.allow_fma ? ", fma" : "");
 }
 
@@ -100,15 +93,11 @@ std::string exec_options_json(const ExecOptions& opts, const char* indent) {
   field("threads", std::to_string(opts.num_threads));
   field("eval_mode",
         opts.mode == EvalMode::kRow ? "\"row\"" : "\"scalar\"");
-  field("compiled", opts.compiled ? "true" : "false");
   field("vector_backend", opts.vector_backend ? "true" : "false");
   field("allow_fma", opts.allow_fma ? "true" : "false");
   field("fast_transcendentals",
         opts.fast_transcendentals ? "true" : "false");
   field("never_pessimize", opts.never_pessimize ? "true" : "false");
-  field("tile_schedule", opts.tile_schedule == TileSchedule::kDynamic
-                             ? "\"dynamic\""
-                             : "\"static\"");
   field("pooled_storage", opts.pooled_storage ? "true" : "false");
   field("pool_backend", opts.pool_backend ? "true" : "false");
   return s;

@@ -29,8 +29,8 @@ struct BenchConfig {
   MachineModel machine;
   // The executor configuration every timed run uses, set explicitly (and
   // recorded in each bench's JSON artifact) so table numbers are never at
-  // the mercy of drifting ExecOptions defaults.  --mode/--compiled/
-  // --vector/--fma/--schedule override the defaults.
+  // the mercy of drifting ExecOptions defaults.  --mode/--vector/--fma/
+  // --pool-backend override the defaults.
   ExecOptions exec;
 
   static BenchConfig from_cli(const Cli& cli, MachineModel machine);
@@ -49,7 +49,7 @@ Grouping schedule(Scheduler which, const PipelineSpec& spec,
                   int tune_threads);
 
 // min-of-averages execution time (ms) of `g` at `threads`.  `base` fixes
-// the executor configuration being measured (mode, compiled, backend, ...);
+// the executor configuration being measured (mode, backend, ...);
 // `threads` overrides base.num_threads.
 double time_grouping_ms(const Pipeline& pl, const Grouping& g,
                         const std::vector<Buffer>& inputs, int threads,

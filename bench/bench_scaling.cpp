@@ -73,9 +73,7 @@ int main(int argc, char** argv) {
 
   ExecOptions openmp_opts;
   openmp_opts.mode = EvalMode::kRow;
-  openmp_opts.compiled = true;
   openmp_opts.vector_backend = true;
-  openmp_opts.tile_schedule = TileSchedule::kDynamic;
   ExecOptions pool_opts = openmp_opts;
   pool_opts.pool_backend = true;
 

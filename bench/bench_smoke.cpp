@@ -3,16 +3,12 @@
 // BENCH_smoke.json (ns/pixel per pipeline + machine parameters).  CI runs
 // this in Release and uploads the JSON as an artifact; no gating.
 //
-// A/B levers for the compiled-executor work:
-//   --compiled=0            interpreted per-tile path (pre-compilation
-//                           executor)
-//   --schedule=static       schedule(static) tile worksharing
-//   --mode=scalar           per-point interpreter instead of row kernels
-//
-// The ≥1.5x kRow geomean claim in docs/performance.md is
-//   bench_smoke --compiled=1 --schedule=dynamic   vs
-//   bench_smoke --compiled=0 --schedule=static
-// at the same scale/threads.
+// A/B levers:
+//   --mode=scalar           per-point scalar evaluator instead of the
+//                           compiled row kernels
+//   --vector=0              plain compiled program instead of the vector
+//                           backend
+//   --fma=1                 contract multiply-accumulate superops to FMA
 //
 // --overhead-ab runs the request-governance overhead A/B instead: each
 // pipeline timed ungoverned (no deadline, unlimited budget) and governed
@@ -160,26 +156,20 @@ int main(int argc, char** argv) {
       bench::bench_out_path(cli, "BENCH_smoke.json");
   const std::string mode_str = cli.get_env("mode", "row");
   const std::string only = cli.get_env("only", "");
-  const bool compiled = cli.get_int_env("compiled", 1) != 0;
   const bool vector_backend = cli.get_int_env("vector", 1) != 0;
   const bool allow_fma = cli.get_int_env("fma", 0) != 0;
-  const std::string sched_str = cli.get_env("schedule", "dynamic");
 
   ExecOptions opts;
   opts.num_threads = threads;
   opts.mode = mode_str == "scalar" ? EvalMode::kScalar : EvalMode::kRow;
-  opts.compiled = compiled;
   opts.vector_backend = vector_backend;
   opts.allow_fma = allow_fma;
-  opts.tile_schedule =
-      sched_str == "static" ? TileSchedule::kStatic : TileSchedule::kDynamic;
 
   std::fprintf(stderr,
                "bench_smoke: scale=%lld threads=%d samples=%d runs=%d "
-               "mode=%s compiled=%d vector=%d fma=%d schedule=%s\n",
+               "mode=%s vector=%d fma=%d\n",
                static_cast<long long>(scale), threads, samples, runs,
-               mode_str.c_str(), compiled ? 1 : 0, vector_backend ? 1 : 0,
-               allow_fma ? 1 : 0, sched_str.c_str());
+               mode_str.c_str(), vector_backend ? 1 : 0, allow_fma ? 1 : 0);
 
   if (cli.has("overhead-ab"))
     return run_overhead_ab(cli, opts, scale, samples, runs, machine);
@@ -232,8 +222,9 @@ int main(int argc, char** argv) {
       << bench::provenance_json(machine, &opts, "  ")
       << "  \"schedule_source\": \"PolyMageDP\",\n"
       << "  \"backend\": \""
-      << (!compiled ? "interpreted"
-                    : (vector_backend ? "vector" : "scalar-compiled"))
+      << (opts.mode == EvalMode::kScalar
+              ? "scalar"
+              : (vector_backend ? "vector" : "scalar-compiled"))
       << "\",\n"
       << bench::exec_options_json(opts, "  ")
       << "  \"scale\": " << scale << ",\n"

@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
   ExecOptions base;
   base.num_threads = threads;
   base.mode = EvalMode::kRow;
-  base.compiled = true;
-  base.tile_schedule = TileSchedule::kDynamic;
 
   ExecOptions scalar_opts = base;
   scalar_opts.vector_backend = false;

@@ -81,7 +81,7 @@ void BM_DpGrouping(benchmark::State& state) {
 }
 BENCHMARK(BM_DpGrouping);
 
-void BM_RowEvaluatorThroughput(benchmark::State& state) {
+void BM_CompiledExecutorThroughput(benchmark::State& state) {
   const PipelineSpec spec = make_blur(512, 512);
   const Pipeline& pl = *spec.pipeline;
   const CostModel model(pl, MachineModel::xeon_haswell());
@@ -96,7 +96,7 @@ void BM_RowEvaluatorThroughput(benchmark::State& state) {
   for (auto _ : state) ex.run(inputs, ws);
   state.SetItemsProcessed(state.iterations() * pl.total_volume());
 }
-BENCHMARK(BM_RowEvaluatorThroughput);
+BENCHMARK(BM_CompiledExecutorThroughput);
 
 }  // namespace
 }  // namespace fusedp

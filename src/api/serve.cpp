@@ -39,17 +39,16 @@ Result<std::unique_ptr<PipelineService>> PipelineService::create(
   opts.session.num_threads = opts.workers;
   if (opts.workspaces == 0) opts.workspaces = opts.workers;
 
-  // Reuse the session facade's validation + scheduling (one search, one
-  // coded failure path); the service then owns its plan via its own
-  // Executor, since Session's single internal workspace cannot serve
-  // concurrent requests.
+  // Reuse the session facade's validation, scheduling and plan build (one
+  // search, one compile, one coded failure path).  The service runs the
+  // session's executor on its own pooled workspaces, since Session's single
+  // internal workspace cannot serve concurrent requests.
   Result<Session> opened = Session::open(pl, opts.session);
   if (!opened.ok()) return R(opened.error());
-  Grouping grouping = opened.value().grouping();
 
   try {
-    std::unique_ptr<PipelineService> svc(
-        new PipelineService(pl, std::move(opts), std::move(grouping)));
+    std::unique_ptr<PipelineService> svc(new PipelineService(
+        pl, std::move(opts), std::move(opened).value()));
     return R(std::move(svc));
   } catch (const Error& e) {
     return R(e);
@@ -60,11 +59,8 @@ Result<std::unique_ptr<PipelineService>> PipelineService::create(
 }
 
 PipelineService::PipelineService(const Pipeline& pl, ServeOptions opts,
-                                 Grouping grouping)
-    : pl_(&pl), opts_(std::move(opts)), grouping_(std::move(grouping)) {
-  exec_ =
-      std::make_unique<Executor>(pl, grouping_, make_exec_options(opts_.session));
-
+                                 Session session)
+    : pl_(&pl), opts_(std::move(opts)), session_(std::move(session)) {
   std::int64_t output_pixels = 0;
   for (int s : pl.outputs()) output_pixels += pl.stage(s).domain.volume();
   sharded_ =
@@ -136,7 +132,7 @@ Result<ServeReply> PipelineService::execute_admitted(
       ErrorCode::kInternal, "serve: request not executed");
   WallTimer run_timer;
   try {
-    exec_->run(req.inputs, *ws, knobs);
+    session_.executor().run(req.inputs, *ws, knobs);
     reply.seconds = run_timer.seconds();
     reply.outputs.reserve(pl_->outputs().size());
     // Copy outputs out of the pooled workspace: the workspace returns to

@@ -151,11 +151,11 @@ class PipelineService {
   // True when this pipeline's frames shard across all workers.
   bool sharded() const { return sharded_; }
   int workers() const { return opts_.workers; }
-  const Grouping& grouping() const { return grouping_; }
-  const ExecutablePlan& plan() const { return exec_->plan(); }
+  const Grouping& grouping() const { return session_.grouping(); }
+  const ExecutablePlan& plan() const { return session_.plan(); }
 
  private:
-  PipelineService(const Pipeline& pl, ServeOptions opts, Grouping grouping);
+  PipelineService(const Pipeline& pl, ServeOptions opts, Session session);
 
   bool try_admit();
   void release_admission();
@@ -173,8 +173,9 @@ class PipelineService {
 
   const Pipeline* pl_;
   ServeOptions opts_;
-  Grouping grouping_;
-  std::unique_ptr<Executor> exec_;
+  // Owns the grouping and the compiled executor; its own workspace stays
+  // unused (requests run on free_ws_).
+  Session session_;
   bool sharded_ = false;
 
   mutable std::mutex mu_;

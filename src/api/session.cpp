@@ -29,23 +29,6 @@ const char* scheduler_name(Scheduler s) {
   return "?";
 }
 
-ExecOptions make_exec_options(const Options& opts) {
-  ExecOptions eo;
-  eo.num_threads = opts.num_threads;
-  eo.mode = opts.mode;
-  eo.compiled = opts.compiled;
-  eo.vector_backend = opts.vector_backend;
-  eo.superop_fusion = opts.superop_fusion;
-  eo.allow_fma = opts.allow_fma;
-  eo.fast_transcendentals = opts.fast_transcendentals;
-  eo.never_pessimize = opts.never_pessimize;
-  eo.tile_schedule = opts.tile_schedule;
-  eo.pooled_storage = opts.pooled_storage;
-  eo.guard_arena = opts.guard_arena;
-  eo.pool_backend = opts.pool_backend;
-  return eo;
-}
-
 AutoScheduleOptions make_autoschedule_options(const Options& opts) {
   AutoScheduleOptions ao;
   ao.deadline_seconds = opts.deadline_seconds;
@@ -56,22 +39,6 @@ AutoScheduleOptions make_autoschedule_options(const Options& opts) {
   ao.greedy_tolerance = opts.greedy_tolerance;
   return ao;
 }
-
-// Deprecated member shims delegate to the free projections.  Defining a
-// [[deprecated]] member triggers -Wdeprecated-declarations on some
-// toolchains, so the definitions sit inside a suppression window.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-ExecOptions Options::exec() const { return make_exec_options(*this); }
-
-AutoScheduleOptions Options::autoschedule() const {
-  return make_autoschedule_options(*this);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 std::uint64_t Options::schedule_fingerprint() const {
   Fnv64 h;
@@ -129,20 +96,19 @@ Result<bool> validate_options(const Options& opts) {
         "Options::allow_fma requires the vector backend "
         "(vector_backend = false): FMA contraction is a vector-backend "
         "superop transformation");
-  if (opts.allow_fma && (!opts.compiled || opts.mode == EvalMode::kScalar))
+  if (opts.allow_fma && opts.mode == EvalMode::kScalar)
     flag(
         "Options::allow_fma requires the compiled row backend "
-        "(compiled = true, mode = kRow)");
+        "(mode = kRow)");
   if (opts.fast_transcendentals && !opts.vector_backend)
     flag(
         "Options::fast_transcendentals requires the vector backend "
         "(vector_backend = false): the approximate exp/log/pow kernels are "
         "a vector-backend transformation");
-  if (opts.fast_transcendentals &&
-      (!opts.compiled || opts.mode == EvalMode::kScalar))
+  if (opts.fast_transcendentals && opts.mode == EvalMode::kScalar)
     flag(
         "Options::fast_transcendentals requires the compiled row backend "
-        "(compiled = true, mode = kRow)");
+        "(mode = kRow)");
   if (opts.deadline_seconds < 0.0)
     flag("Options::deadline_seconds must be >= 0 (0 = no deadline)");
   if (opts.run_deadline_seconds < 0.0)

@@ -53,36 +53,13 @@ enum class Scheduler : std::uint8_t {
 
 const char* scheduler_name(Scheduler s);
 
-// Everything that configures a session, in one struct: execution knobs
-// (previously ExecOptions), schedule-search knobs (previously
-// AutoScheduleOptions) and observability.  Session::open validates the
-// whole struct up front and rejects inconsistent combinations with coded
-// kInvalidArgument errors instead of silently misbehaving.
-struct Options {
-  // --- Execution (mirrors ExecOptions; see runtime/executor.hpp) ---
-  int num_threads = 1;           // must be >= 1
-  EvalMode mode = EvalMode::kRow;
-  bool compiled = true;
-  bool vector_backend = true;
-  bool superop_fusion = true;
-  bool allow_fma = false;        // requires the vector backend
-  // Approximate exp/log/pow kernels (runtime/fastmath.hpp) instead of
-  // scalar libm: ULP-bounded deviation from the bit-exact reference, so it
-  // is opt-in like allow_fma and likewise requires the vectorized compiled
-  // row backend.
-  bool fast_transcendentals = false;
-  // Plan-time micro-measured fusion gate (see ExecOptions::never_pessimize):
-  // demotes vector/superop group compilations that lose to the plain form.
-  // Value-neutral; on by default.
-  bool never_pessimize = true;
-  TileSchedule tile_schedule = TileSchedule::kDynamic;
-  bool pooled_storage = false;
-  bool guard_arena = false;
-  // Execute tile loops on the persistent work-stealing WorkPool instead of
-  // a per-run OpenMP region (see runtime/pool.hpp).  Bit-identical outputs;
-  // the serving front door (api/serve.hpp) always uses the pool.
-  bool pool_backend = false;
-
+// Everything that configures a session, in one struct: the execution knobs
+// (inherited from ExecOptions, runtime/executor.hpp), schedule-search knobs
+// (previously AutoScheduleOptions) and observability.  Session::open
+// validates the whole struct up front and rejects inconsistent combinations
+// (see validate_options) with coded kInvalidArgument errors instead of
+// silently misbehaving.
+struct Options : ExecOptions {
   // --- Scheduling ---
   Scheduler scheduler = Scheduler::kAuto;
   MachineModel machine = MachineModel::host();
@@ -172,16 +149,6 @@ struct Options {
   // every callback).  Not owned; must outlive the session.
   observe::Observer* observer = nullptr;
 
-  // Projections onto the pre-facade option structs (back-compat shims; the
-  // scheduler-observer field is filled in by Session::open).  Deprecated:
-  // use the free make_exec_options()/make_autoschedule_options() instead —
-  // these member shims will be removed after the next release (README
-  // "Deprecations").
-  [[deprecated("use make_exec_options(opts); removed after PR 11")]]
-  ExecOptions exec() const;
-  [[deprecated("use make_autoschedule_options(opts); removed after PR 11")]]
-  AutoScheduleOptions autoschedule() const;
-
   // The schedule-relevant options digest used in the cache key: scheduler
   // choice plus every knob that can change which grouping a search returns
   // (state budgets, greedy tile parameters).  Deliberately excludes
@@ -196,12 +163,10 @@ struct Options {
   findb::FindbOptions findb_options() const;
 };
 
-// The execution slice of an Options struct as the executor's option struct
-// (runtime/executor.hpp).  Replaces the deprecated Options::exec() member.
-ExecOptions make_exec_options(const Options& opts);
+// The execution slice of an Options struct: its ExecOptions base.
+inline ExecOptions make_exec_options(const Options& opts) { return opts; }
 // The schedule-search slice as the kAuto ladder's option struct
 // (fusion/autoschedule.hpp; the observer field is filled by Session::open).
-// Replaces the deprecated Options::autoschedule() member.
 AutoScheduleOptions make_autoschedule_options(const Options& opts);
 
 // Validates `opts` as a whole; returns true or a coded kInvalidArgument
@@ -248,6 +213,10 @@ class Session {
   const Options& options() const { return opts_; }
   const Grouping& grouping() const { return grouping_; }
   const ExecutablePlan& plan() const { return exec_->plan(); }
+  // The primary executor.  Callers may run it concurrently on their own
+  // distinct Workspaces (api/serve.hpp does), bypassing the session's
+  // workspace, deadline and degradation ladder.
+  const Executor& executor() const { return *exec_; }
   // Schedule-search post-mortem; empty attempts unless Scheduler::kAuto.
   // A warm start has empty attempts and zero total_states: no search ran.
   const Diagnostics& diagnostics() const { return diag_; }

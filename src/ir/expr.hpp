@@ -52,10 +52,10 @@ struct ExprNode {
 };
 
 // Arity / semantics helpers shared by every evaluator (scalar interpreter,
-// row evaluator, compiled stage programs) so all implementations perform
-// bit-identical float operations.  The compiler inlines apply_* with a
-// constant Op down to the single operation, so per-op loops still
-// auto-vectorize.
+// compiled stage programs, plan-time constant folding) so all
+// implementations perform bit-identical float operations.  The compiler
+// inlines apply_* with a constant Op down to the single operation, so
+// per-op loops still auto-vectorize.
 inline bool op_is_unary(Op op) {
   switch (op) {
     case Op::kNeg:

@@ -549,7 +549,7 @@ class StageCompiler {
       } else if (m.kind == AxisMap::Kind::kAffine && m.num != 0 &&
                  m.src_dim == last) {
         ca.varies_row = true;
-        cl.vary_axis = k;  // last one wins, matching RowEvaluator
+        cl.vary_axis = k;  // last one wins
       }
     }
     if (cl.vary_axis >= 0) {
@@ -986,7 +986,7 @@ const float* CompiledRowEvaluator::eval_load(const CompiledLoad& cl,
   }
 
   // Clamp-to-edge: fixed coordinates once per row, then the varying /
-  // dynamic axes per element (mirrors RowEvaluator::eval_load).
+  // dynamic axes per element.
   std::int64_t fixed[kMaxDims] = {0, 0, 0, 0};
   const float* dyn_rows[kMaxDims] = {nullptr, nullptr, nullptr, nullptr};
   for (int k = 0; k < prank; ++k) {

@@ -1,10 +1,11 @@
-// Plan-time stage compilation for the overlapped-tiling executor.
+// Plan-time stage compilation for the overlapped-tiling executor.  The
+// compiled row kernels are FuseDP's stand-in for the C++ PolyMage generates
+// (paper §2.1, Figure 3; see DESIGN.md).
 //
-// The per-tile interpreter cost the executor used to pay — re-walking the
-// raw expression DAG with memoization stamps, re-classifying every load's
-// axes per row, and clamp-to-edge bounds checks on every load even for
-// tiles that never touch a border — is paid once per ExecutablePlan here
-// instead:
+// The per-tile costs of interpreting a stage body — re-walking the raw
+// expression DAG with memoization stamps, re-classifying every load's axes
+// per row, and clamp-to-edge bounds checks on every load even for tiles that
+// never touch a border — are paid once per ExecutablePlan here instead:
 //
 //  * compile_stage() lowers a stage body into a CompiledStage: a
 //    topologically linearized op program with constant folding,
@@ -204,8 +205,8 @@ RegionTemplate build_region_template(const Pipeline& pl, NodeSet stages,
 class CompiledRowEvaluator {
  public:
   // Evaluates over {base[0..rank-2] fixed, last dim in [y0, y1]} (inclusive)
-  // and writes the y1-y0+1 results to `out`.  `ctx.srcs` must be resolved
-  // exactly as for RowEvaluator.
+  // and writes the y1-y0+1 results to `out`.  `ctx.srcs` holds one resolved
+  // LoadSrc per stage load, as for eval_scalar_at.
   void eval_row(const CompiledStage& cs, const StageEvalCtx& ctx,
                 const unsigned char* load_clamped, const std::int64_t* base,
                 std::int64_t y0, std::int64_t y1, float* out,

@@ -1,20 +1,10 @@
 #include "runtime/eval.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "ir/box.hpp"
-#include "support/fault.hpp"
 
 namespace fusedp {
-
-namespace {
-
-std::int64_t clamp_i64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
-}  // namespace
 
 float eval_scalar_at(const StageEvalCtx& ctx, ExprRef r,
                      const std::int64_t* c) {
@@ -55,7 +45,8 @@ float eval_scalar_at(const StageEvalCtx& ctx, ExprRef r,
       return src.view.at(pc);
     }
     case Op::kSelect:
-      // Both arms are evaluated (no short-circuit) to match RowEvaluator.
+      // Both arms are evaluated (no short-circuit) to match the compiled
+      // row kernels.
       {
         const float cond = eval_scalar_at(ctx, n.a, c);
         const float t = eval_scalar_at(ctx, n.b, c);
@@ -74,266 +65,6 @@ float eval_scalar_at(const StageEvalCtx& ctx, ExprRef r,
   }
   FUSEDP_CHECK(false, "unhandled op");
   return 0.0f;
-}
-
-void RowEvaluator::eval_load(const StageEvalCtx& ctx, const ExprNode& n,
-                             float* out) {
-  const Stage& s = *ctx.stage;
-  const Access& a = s.loads[static_cast<std::size_t>(n.load_id)];
-  const LoadSrc& src = ctx.srcs[static_cast<std::size_t>(n.load_id)];
-  const int prank = static_cast<int>(a.axes.size());
-  const int last = s.rank() - 1;
-
-  if (a.border != Border::kClamp) {
-    // Non-clamp borders take a fully general gather (they are rare and only
-    // differ near domain edges).
-    const float* dyn[kMaxDims] = {nullptr, nullptr, nullptr, nullptr};
-    for (int k = 0; k < prank; ++k)
-      if (a.axes[static_cast<std::size_t>(k)].kind ==
-          AxisMap::Kind::kDynamic)
-        dyn[k] = eval_node(ctx, a.axes[static_cast<std::size_t>(k)].dyn);
-    std::int64_t c[kMaxDims];
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::int64_t y = y0_ + static_cast<std::int64_t>(i);
-      bool zero = false;
-      for (int k = 0; k < prank && !zero; ++k) {
-        const AxisMap& m = a.axes[static_cast<std::size_t>(k)];
-        std::int64_t v;
-        if (m.kind == AxisMap::Kind::kConstant || m.num == 0)
-          v = m.offset;
-        else if (m.kind == AxisMap::Kind::kDynamic)
-          v = static_cast<std::int64_t>(std::floor(dyn[k][i]));
-        else
-          v = floor_div((m.src_dim == last ? y : base_[m.src_dim]) * m.num +
-                            m.pre,
-                        m.den) +
-              m.offset;
-        if (a.border == Border::kZero &&
-            (v < src.domain.lo[k] || v > src.domain.hi[k])) {
-          zero = true;
-          break;
-        }
-        c[k] = fold_coord(v, src.domain.lo[k], src.domain.hi[k], a.border);
-      }
-      out[i] = zero ? 0.0f : src.view.at(c);
-    }
-    return;
-  }
-
-  // Classify axes: fixed coordinate, varying-affine along the row, or
-  // dynamic rows.
-  std::int64_t fixed[kMaxDims] = {0, 0, 0, 0};
-  int vary_axis = -1;
-  const float* dyn_rows[kMaxDims] = {nullptr, nullptr, nullptr, nullptr};
-  bool any_dyn = false;
-  for (int k = 0; k < prank; ++k) {
-    const AxisMap& m = a.axes[static_cast<std::size_t>(k)];
-    switch (m.kind) {
-      case AxisMap::Kind::kConstant:
-        fixed[k] = clamp_i64(m.offset, src.domain.lo[k], src.domain.hi[k]);
-        break;
-      case AxisMap::Kind::kDynamic:
-        dyn_rows[k] = eval_node(ctx, m.dyn);
-        any_dyn = true;
-        break;
-      case AxisMap::Kind::kAffine:
-        if (m.num != 0 && m.src_dim == last) {
-          FUSEDP_DCHECK(vary_axis == -1 || vary_axis == k,
-                        "duplicate varying axis");
-          vary_axis = k;
-        } else {
-          const std::int64_t v =
-              m.num == 0
-                  ? m.offset
-                  : floor_div(base_[m.src_dim] * m.num + m.pre, m.den) +
-                        m.offset;
-          fixed[k] = clamp_i64(v, src.domain.lo[k], src.domain.hi[k]);
-        }
-        break;
-    }
-  }
-
-  if (!any_dyn && vary_axis >= 0) {
-    const AxisMap& vm = a.axes[static_cast<std::size_t>(vary_axis)];
-    if (vm.num == 1 && vm.den == 1 && vm.pre == 0) {
-      // Fast path: contiguous-in-producer along the row (possibly strided if
-      // the varying producer axis is not innermost).
-      std::int64_t c[kMaxDims];
-      for (int k = 0; k < prank; ++k) c[k] = fixed[k];
-      const std::int64_t plo = src.domain.lo[vary_axis];
-      const std::int64_t phi = src.domain.hi[vary_axis];
-      const std::int64_t stride = src.view.stride[vary_axis];
-      // Row element i reads producer coordinate y0+i+offset, clamped.
-      const std::int64_t first = y0_ + vm.offset;
-      // Elements clamped to the low edge: i < plo - first.
-      const std::int64_t pre =
-          std::clamp<std::int64_t>(plo - first, 0, static_cast<std::int64_t>(n_));
-      // Elements beyond the high edge start at i > phi - first.
-      const std::int64_t post_start = std::clamp<std::int64_t>(
-          phi - first + 1, 0, static_cast<std::int64_t>(n_));
-      // Edge values are only read when clamping actually occurs: for
-      // interior tiles the domain boundary lies outside the scratch view.
-      if (pre > 0) {
-        c[vary_axis] = plo;
-        const float lo_val = src.view.at(c);
-        for (std::int64_t i = 0; i < pre; ++i) out[i] = lo_val;
-      }
-      if (post_start > pre) {
-        c[vary_axis] = first + pre;
-        const float* p = src.view.data + src.view.offset_of(c);
-        const std::size_t body = static_cast<std::size_t>(post_start - pre);
-        if (stride == 1) {
-          for (std::size_t i = 0; i < body; ++i)
-            out[static_cast<std::size_t>(pre) + i] = p[i];
-        } else {
-          for (std::size_t i = 0; i < body; ++i)
-            out[static_cast<std::size_t>(pre) + i] =
-                p[static_cast<std::int64_t>(i) * stride];
-        }
-      }
-      if (post_start < static_cast<std::int64_t>(n_)) {
-        c[vary_axis] = phi;
-        const float hi_val = src.view.at(c);
-        for (std::int64_t i = post_start; i < static_cast<std::int64_t>(n_);
-             ++i)
-          out[i] = hi_val;
-      }
-      return;
-    }
-    // Scaled gather along the row (up/down-sampling).
-    std::int64_t c[kMaxDims];
-    for (int k = 0; k < prank; ++k) c[k] = fixed[k];
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::int64_t y = y0_ + static_cast<std::int64_t>(i);
-      c[vary_axis] =
-          clamp_i64(floor_div(y * vm.num + vm.pre, vm.den) + vm.offset,
-                    src.domain.lo[vary_axis], src.domain.hi[vary_axis]);
-      out[i] = src.view.at(c);
-    }
-    return;
-  }
-
-  if (!any_dyn && vary_axis < 0) {
-    // Every axis fixed: broadcast one element.
-    const float v = src.view.at(fixed);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = v;
-    return;
-  }
-
-  // General gather with dynamic axes.
-  std::int64_t c[kMaxDims];
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::int64_t y = y0_ + static_cast<std::int64_t>(i);
-    for (int k = 0; k < prank; ++k) {
-      const AxisMap& m = a.axes[static_cast<std::size_t>(k)];
-      if (m.kind == AxisMap::Kind::kDynamic) {
-        c[k] = clamp_i64(static_cast<std::int64_t>(std::floor(dyn_rows[k][i])),
-                         src.domain.lo[k], src.domain.hi[k]);
-      } else if (m.kind == AxisMap::Kind::kAffine && m.num != 0 &&
-                 m.src_dim == last) {
-        c[k] = clamp_i64(floor_div(y * m.num + m.pre, m.den) + m.offset,
-                         src.domain.lo[k], src.domain.hi[k]);
-      } else {
-        c[k] = fixed[k];
-      }
-    }
-    out[i] = src.view.at(c);
-  }
-}
-
-const float* RowEvaluator::eval_node(const StageEvalCtx& ctx, ExprRef r) {
-  const std::size_t idx = static_cast<std::size_t>(r);
-  if (stamp_[idx] == serial_) return rows_ + idx * stride_;
-  stamp_[idx] = serial_;
-  float* out = rows_ + idx * stride_;
-  const ExprNode& n = ctx.stage->nodes[idx];
-  switch (n.op) {
-    case Op::kConst:
-      FUSEDP_SIMD
-      for (std::size_t i = 0; i < n_; ++i) out[i] = n.imm;
-      break;
-    case Op::kCoord:
-      if (n.dim == ctx.stage->rank() - 1) {
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i)
-          out[i] = static_cast<float>(y0_ + static_cast<std::int64_t>(i));
-      } else {
-        const float v = static_cast<float>(base_[n.dim]);
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i) out[i] = v;
-      }
-      break;
-    case Op::kLoad:
-      eval_load(ctx, n, out);
-      break;
-    case Op::kSelect: {
-      const float* c = eval_node(ctx, n.a);
-      const float* t = eval_node(ctx, n.b);
-      const float* f = eval_node(ctx, n.c);
-      FUSEDP_SIMD
-      for (std::size_t i = 0; i < n_; ++i) out[i] = c[i] != 0.0f ? t[i] : f[i];
-      break;
-    }
-// kExp/kLog/kPow stay unannotated: scalar-libm by policy (bit-exactness).
-#define FUSEDP_UNARY_CASE(OP, SIMD_PRAGMA)                                 \
-  case Op::OP: {                                                           \
-    const float* a = eval_node(ctx, n.a);                                  \
-    SIMD_PRAGMA                                                            \
-    for (std::size_t i = 0; i < n_; ++i)                                   \
-      out[i] = apply_unary(Op::OP, a[i]);                                  \
-  } break;
-    FUSEDP_UNARY_CASE(kNeg, FUSEDP_SIMD)
-    FUSEDP_UNARY_CASE(kAbs, FUSEDP_SIMD)
-    FUSEDP_UNARY_CASE(kSqrt, FUSEDP_SIMD)
-    FUSEDP_UNARY_CASE(kExp, )
-    FUSEDP_UNARY_CASE(kLog, )
-    FUSEDP_UNARY_CASE(kFloor, FUSEDP_SIMD)
-#undef FUSEDP_UNARY_CASE
-#define FUSEDP_BINARY_CASE(OP, SIMD_PRAGMA)                                \
-  case Op::OP: {                                                           \
-    const float* a = eval_node(ctx, n.a);                                  \
-    const float* b = eval_node(ctx, n.b);                                  \
-    SIMD_PRAGMA                                                            \
-    for (std::size_t i = 0; i < n_; ++i)                                   \
-      out[i] = apply_binary(Op::OP, a[i], b[i]);                           \
-  } break;
-    FUSEDP_BINARY_CASE(kAdd, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kSub, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kMul, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kDiv, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kMin, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kMax, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kPow, )
-    FUSEDP_BINARY_CASE(kLt, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kLe, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kEq, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kAnd, FUSEDP_SIMD)
-    FUSEDP_BINARY_CASE(kOr, FUSEDP_SIMD)
-#undef FUSEDP_BINARY_CASE
-  }
-  return out;
-}
-
-void RowEvaluator::eval_row(const StageEvalCtx& ctx, const std::int64_t* base,
-                            std::int64_t y0, std::int64_t y1, float* out) {
-  const std::size_t nnodes = ctx.stage->nodes.size();
-  n_ = static_cast<std::size_t>(y1 - y0 + 1);
-  base_ = base;
-  y0_ = y0;
-  y1_ = y1;
-  rows_ = guard_.carve(arena_, nnodes, pad_row_floats(n_), stride_);
-  // Test-only synthetic overrun: scribbles into row register 0's guard
-  // line, proving the post-tile canary check catches an in-arena smash.
-  if (guard_.enabled() && nnodes > 0)
-    FUSEDP_FAULT_CORRUPT("eval.guard_overrun", rows_[stride_ - 1]);
-  if (stamp_.size() < nnodes) stamp_.resize(nnodes, 0);
-  ++serial_;
-  if (serial_ == 0) {  // wrapped: invalidate all stamps
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    serial_ = 1;
-  }
-  const float* res = eval_node(ctx, ctx.stage->body);
-  std::copy(res, res + n_, out);
 }
 
 }  // namespace fusedp

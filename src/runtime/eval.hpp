@@ -1,12 +1,9 @@
-// Stage-body evaluators.
+// The scalar stage-body evaluator and the load sources every evaluator
+// reads through.
 //
-// Two implementations with identical semantics (tests assert bit-equality):
-//  * eval_scalar_at — straightforward per-point AST interpretation; the
-//    golden reference.
-//  * RowEvaluator — evaluates the AST one innermost-dimension run at a time,
-//    materializing each AST node into a contiguous row so the host compiler
-//    auto-vectorizes the per-op loops.  This is FuseDP's stand-in for
-//    PolyMage's generated C++ (see DESIGN.md).
+// eval_scalar_at is straightforward per-point AST interpretation: the
+// golden reference.  The compiled row kernels (runtime/compile.hpp) are the
+// fast path and must match it bit-for-bit (tests assert this).
 //
 // Loads clamp computed producer coordinates to the producer's domain
 // (clamp-to-edge borders).  `LoadSrc::view` must cover every in-domain
@@ -18,7 +15,6 @@
 
 #include "ir/stage.hpp"
 #include "support/buffer.hpp"
-#include "support/vec.hpp"
 
 namespace fusedp {
 
@@ -35,41 +31,5 @@ struct StageEvalCtx {
 // Evaluates expression `r` of the stage at point `c` (stage coordinates).
 float eval_scalar_at(const StageEvalCtx& ctx, ExprRef r,
                      const std::int64_t* c);
-
-class RowEvaluator {
- public:
-  // Evaluates the stage body over {base[0..rank-2] fixed, last dim in
-  // [y0, y1]} (inclusive) and writes the y1-y0+1 results to `out`.
-  void eval_row(const StageEvalCtx& ctx, const std::int64_t* base,
-                std::int64_t y0, std::int64_t y1, float* out);
-
-  // Guard-arena mode (ExecOptions::guard_arena): canary lines around every
-  // per-node row; check_guards() throws a coded Error on a smash.
-  void set_guard_arena(bool on) { guard_.set_enabled(on); }
-  void check_guards() const { guard_.check("RowEvaluator"); }
-
-  // Arena high-water (floats) for the observability layer's scratch-bytes
-  // accounting.
-  std::size_t arena_floats() const { return arena_.capacity(); }
-
- private:
-  const float* eval_node(const StageEvalCtx& ctx, ExprRef r);
-  void eval_load(const StageEvalCtx& ctx, const ExprNode& n, float* out);
-
-  // Per-AST-node result rows, carved from one 64-byte-aligned arena at a
-  // cache-line-padded stride (same allocation scheme as the compiled
-  // backend, so interpreted-vs-compiled comparisons measure execution
-  // strategy, not allocator noise); `stamp_` implements per-row memoization
-  // so shared subexpressions are evaluated once.
-  ScratchArena arena_;
-  RowGuard guard_;
-  float* rows_ = nullptr;
-  std::size_t stride_ = 0;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t serial_ = 0;
-  const std::int64_t* base_ = nullptr;
-  std::int64_t y0_ = 0, y1_ = 0;
-  std::size_t n_ = 0;
-};
 
 }  // namespace fusedp

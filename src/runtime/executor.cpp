@@ -229,7 +229,7 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
   // Cost-aware never-pessimize gate: vector-backend groups whose static
   // profile casts doubt on the vector benefit are micro-measured and demoted
   // back to the plain compiled form when they lose (runtime/benefit.hpp).
-  if (opts_.never_pessimize && opts_.compiled && opts_.vector_backend &&
+  if (opts_.never_pessimize && opts_.vector_backend &&
       opts_.mode == EvalMode::kRow) {
     apply_never_pessimize(plan_, opts_.allow_fma, opts_.fast_transcendentals);
   }
@@ -413,6 +413,7 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
   const int ncls = g.align.num_classes;
   const std::int64_t total = g.total_tiles;
   const bool observing = rec != nullptr;
+  const bool compiled = opts_.mode == EvalMode::kRow;
   const int nlanes = std::max(1, lanes);
   std::vector<ThreadLog> logs;
   if (observing) logs.resize(static_cast<std::size_t>(nlanes));
@@ -456,9 +457,7 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
     std::vector<BufferView> tile_view;
     std::vector<StageRegions> regions;
     std::vector<unsigned char> load_clamped;
-    RowEvaluator rowev;
     CompiledRowEvaluator crowev;
-    rowev.set_guard_arena(opts_.guard_arena);
     crowev.set_guard_arena(opts_.guard_arena);
     StageEvalCtx ctx;
     bool thread_ok = true;
@@ -507,9 +506,10 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
         // Interior fast path: full tiles of a translatable group shift the
         // plan-time region template instead of re-deriving the regions —
         // unless the shifted footprint pokes past a stage domain (boundary
-        // tile), which falls back to the exact clamped computation.
+        // tile), which falls back to the exact clamped computation.  The
+        // scalar reference mode always derives regions exactly.
         bool interior = false;
-        if (opts_.compiled && full && g.region_template.translatable) {
+        if (compiled && full && g.region_template.translatable) {
           interior = true;
           for (int s : g.stage_order) {
             const Stage& st = pl.stage(s);
@@ -537,21 +537,9 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
             }
           }
         }
-        if (!interior) {
-          if (opts_.compiled) {
-            compute_region_boxes(pl, g.stages, g.align, tile, /*clamp=*/true,
-                                 g.stage_order, regions.data());
-          } else {
-            // Legacy interpreted path keeps the original per-tile region
-            // derivation (allocating, with volume accounting) so the A/B
-            // baseline pays the true pre-compilation cost.
-            const GroupRegions gr = compute_group_regions(
-                pl, g.stages, g.align, tile, /*clamp=*/true, &g.stage_order);
-            for (int s : g.stage_order)
-              regions[static_cast<std::size_t>(s)] =
-                  gr.stages[static_cast<std::size_t>(s)];
-          }
-        }
+        if (!interior)
+          compute_region_boxes(pl, g.stages, g.align, tile, /*clamp=*/true,
+                               g.stage_order, regions.data());
 
         for (int s : g.stage_order) {
           const StageRegions& reg = regions[static_cast<std::size_t>(s)];
@@ -602,7 +590,7 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
 
           // Evaluate over the required box, row by row.
           const int last = st.rank() - 1;
-          if (opts_.mode == EvalMode::kRow && opts_.compiled) {
+          if (compiled) {
             const CompiledStage& cs =
                 plan_.compiled[static_cast<std::size_t>(s)];
             // Per-load border mask: a load skips all border handling when
@@ -637,11 +625,6 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
                               req.hi[last], out, opts_.allow_fma,
                               opts_.fast_transcendentals);
             });
-          } else if (opts_.mode == EvalMode::kRow) {
-            for_each_row(req, [&](std::int64_t* c) {
-              float* out = &out_view.at(c);
-              rowev.eval_row(ctx, c, req.lo[last], req.hi[last], out);
-            });
           } else {
             for_each_row(req, [&](std::int64_t* c) {
               float* out = &out_view.at(c);
@@ -670,10 +653,7 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
         // Guarded execution: sweep the canary lines around every row
         // register after the tile.  A smash throws a coded Error naming the
         // evaluator and register, captured like any other tile failure.
-        if (opts_.guard_arena) {
-          crowev.check_guards();
-          rowev.check_guards();
-        }
+        if (opts_.guard_arena) crowev.check_guards();
 
         if (log != nullptr) {
           std::int64_t computed = 0, owned = 0;
@@ -716,7 +696,6 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
       for (const ScratchArena& a : scratch)
         floats += static_cast<std::int64_t>(a.capacity());
       floats += static_cast<std::int64_t>(crowev.arena_floats());
-      floats += static_cast<std::int64_t>(rowev.arena_floats());
       log->scratch_bytes =
           floats * static_cast<std::int64_t>(sizeof(float));
     }
@@ -750,18 +729,10 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
     {
       const int tid = omp_get_thread_num();
       lane_main(tid, [&](auto& run_tile) {
-        // Two complete worksharing constructs: the branch condition is
-        // uniform across the team, so every thread picks the same one.
+        // Dynamic worksharing absorbs boundary/cleanup-tile imbalance.
         // Orphaned `omp for` binds to the enclosing parallel region.
-        if (opts_.tile_schedule == TileSchedule::kDynamic) {
 #pragma omp for schedule(dynamic)
-          for (std::int64_t t = 0; t < total; ++t)
-            run_tile(t, -1, false, 0.0);
-        } else {
-#pragma omp for schedule(static)
-          for (std::int64_t t = 0; t < total; ++t)
-            run_tile(t, -1, false, 0.0);
-        }
+        for (std::int64_t t = 0; t < total; ++t) run_tile(t, -1, false, 0.0);
       });
     }
 #else
@@ -799,9 +770,8 @@ std::vector<Buffer> run_reference(const Pipeline& pl,
   }
   ExecOptions opts;
   opts.num_threads = 1;
-  opts.mode = EvalMode::kScalar;
   // Golden purity: the reference never takes the compiled/template path.
-  opts.compiled = false;
+  opts.mode = EvalMode::kScalar;
   Executor ex(pl, g, opts);
   Workspace ws;
   ex.run(inputs, ws);

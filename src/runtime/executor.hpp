@@ -1,12 +1,13 @@
 // The overlapped-tiling execution engine.
 //
 // Executes an ExecutablePlan: groups in topological order; within a group,
-// the tile grid is traversed by an OpenMP parallel loop (tiles are
-// independent thanks to redundant recomputation of the overlap, paper
-// Figure 2); within a tile, member stages run in topological order into
-// per-thread scratch buffers sized to their required regions, and live-out
-// stages write their owned slice to full-size global buffers.  This is the
-// loop structure of the code PolyMage generates (paper Figure 3).
+// the tile grid is traversed by an OpenMP schedule(dynamic) loop or the
+// work-stealing pool (tiles are independent thanks to redundant
+// recomputation of the overlap, paper Figure 2); within a tile, member
+// stages run in topological order into per-thread scratch buffers sized to
+// their required regions, and live-out stages write their owned slice to
+// full-size global buffers.  This is the loop structure of the code
+// PolyMage generates (paper Figure 3).
 #pragma once
 
 #include "observe/observe.hpp"
@@ -20,25 +21,18 @@
 namespace fusedp {
 
 enum class EvalMode : std::uint8_t {
-  kRow,     // row-vectorized evaluator (benchmarks)
-  kScalar,  // per-point interpreter (golden reference)
-};
-
-// OpenMP worksharing policy for the tile loop.
-enum class TileSchedule : std::uint8_t {
-  kDynamic,  // schedule(dynamic): absorbs boundary/cleanup-tile imbalance
-  kStatic,   // schedule(static): the historical default
+  // The plan-time compiled row kernels (runtime/compile.hpp) plus the
+  // interior-tile fast path: translated region template, unclamped loads.
+  kRow,
+  // Per-point eval_scalar_at with every tile's regions derived exactly:
+  // the golden reference configuration run_reference uses.  Outputs are
+  // bit-identical to kRow.
+  kScalar,
 };
 
 struct ExecOptions {
-  int num_threads = 1;
+  int num_threads = 1;  // must be >= 1
   EvalMode mode = EvalMode::kRow;
-  // Use the plan-time CompiledStage programs plus the interior-tile fast
-  // path (translated region template, unclamped row kernels).  Off falls
-  // back to the per-tile interpreted path — the pre-compilation executor —
-  // which the smoke bench uses as its A/B baseline and run_reference uses
-  // for golden purity.  Outputs are bit-identical either way.
-  bool compiled = true;
   // Vectorized compiled backend: superop fusion (multiply-accumulate,
   // compare-and-blend) plus row-register allocation onto an aligned
   // L1-resident pool.  Off compiles the plain one-row-per-op program — the
@@ -75,7 +69,6 @@ struct ExecOptions {
   // changes speed only, never values.  The verdicts are persisted on the
   // plan (GroupPlan::verdict) and shown by the plan printer.
   bool never_pessimize = true;
-  TileSchedule tile_schedule = TileSchedule::kDynamic;
   // Share allocations between materialized intermediates with disjoint live
   // intervals (PolyMage-style storage optimization; see storage/liveness).
   bool pooled_storage = false;
@@ -205,7 +198,7 @@ class Executor {
 };
 
 // Convenience: executes the pipeline completely unfused and untiled with the
-// scalar interpreter — the golden reference every schedule must match
+// scalar evaluator — the golden reference every schedule must match
 // bit-for-bit.  Returns one buffer per stage.
 std::vector<Buffer> run_reference(const Pipeline& pl,
                                   const std::vector<Buffer>& inputs);

@@ -1,9 +1,9 @@
 // Vector-kernel support: aligned row storage and SIMD loop annotation.
 //
-// Every row-granular evaluator (RowEvaluator, CompiledRowEvaluator, the
-// executor's per-tile scratch) allocates float rows from a growth-only
-// arena whose base is 64-byte-aligned and whose per-row stride is padded to
-// a whole number of cache lines.  That keeps each row register aligned for
+// The row-granular code (CompiledRowEvaluator, the executor's per-tile
+// scratch) allocates float rows from a growth-only arena whose base is
+// 64-byte-aligned and whose per-row stride is padded to a whole number of
+// cache lines.  That keeps each row register aligned for
 // the widest vector loads the host supports and lets adjacent rows share no
 // cache line.
 //
@@ -123,10 +123,11 @@ class ScratchArena {
 // ---------------------------------------------------------------------------
 // Guarded row carving (ExecOptions::guard_arena).
 //
-// The row evaluators carve per-op/per-register rows from one ScratchArena
-// block, so a kernel that writes past its row silently corrupts the
-// *neighbouring register* — a bug class (regalloc aliasing, off-by-one row
-// kernels) ASan cannot see because the whole arena is one valid allocation.
+// The compiled row evaluator carves per-op/per-register rows from one
+// ScratchArena block, so a kernel that writes past its row silently corrupts
+// the *neighbouring register* — a bug class (regalloc aliasing, off-by-one
+// row kernels) ASan cannot see because the whole arena is one valid
+// allocation.
 // RowGuard interposes one cache line of canary words after every row (plus
 // a leading line before row 0); the executor checks all canaries after each
 // tile and converts a smash into a coded error naming the register.

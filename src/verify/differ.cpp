@@ -249,18 +249,17 @@ std::vector<FastmathCmp> classify_fastmath(const Pipeline& pl) {
 struct Cfg {
   const char* name;
   EvalMode mode;
-  bool compiled, vec, super, pool;
+  bool vec, super, pool;
 };
 constexpr Cfg kConfigs[] = {
-    {"scalar-tiled", EvalMode::kScalar, false, false, false, false},
-    {"row-interp", EvalMode::kRow, false, false, false, false},
-    {"compiled-plain", EvalMode::kRow, true, false, false, false},
-    {"vector-nosuper", EvalMode::kRow, true, true, false, false},
-    {"vector", EvalMode::kRow, true, true, true, false},
+    {"scalar-tiled", EvalMode::kScalar, false, false, false},
+    {"compiled-plain", EvalMode::kRow, false, false, false},
+    {"vector-nosuper", EvalMode::kRow, true, false, false},
+    {"vector", EvalMode::kRow, true, true, false},
     // Same mechanisms as "vector" but tiles claimed through the
     // work-stealing pool (>= 2 lanes, so stealing actually happens): a
     // divergence here indicts the pool executor path, nothing else.
-    {"vector-pool", EvalMode::kRow, true, true, true, true},
+    {"vector-pool", EvalMode::kRow, true, true, true},
 };
 
 // Runs every backend config over one grouping, comparing each materialized
@@ -272,7 +271,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
   for (const Cfg& c : kConfigs) {
     ExecOptions opts;
     opts.mode = c.mode;
-    opts.compiled = c.compiled;
     opts.vector_backend = c.vec;
     opts.superop_fusion = c.super;
     opts.pool_backend = c.pool;
@@ -280,8 +278,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
         (c.pool ? 2 : 1) +
         static_cast<int>(rng.next_below(
             static_cast<std::uint64_t>(std::max(1, max_threads))));
-    opts.tile_schedule =
-        rng.next_bool() ? TileSchedule::kStatic : TileSchedule::kDynamic;
     opts.guard_arena = rng.next_bool(0.5);
     opts.pooled_storage = rng.next_bool(0.25);
     // The never-pessimize gate only changes which bit-identical compiled
@@ -329,22 +325,20 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
   // classify_fastmath class: untainted stages bit-exact against the
   // reference, continuously-tainted stages under tolerably_equal's
   // envelope, discontinuity-amplified stages only via a second fastmath
-  // run (different threads/schedule) that must match the first
+  // run (other tile-loop backend and thread count) that must match the first
   // bit-for-bit.  The "vector" rung just passed bit-exact with the same
   // mechanisms, so a failure here indicts the approximate kernels.
   {
     const std::vector<FastmathCmp> cls = classify_fastmath(pl);
     ExecOptions opts;
     opts.mode = EvalMode::kRow;
-    opts.compiled = true;
     opts.vector_backend = true;
     opts.superop_fusion = true;
     opts.fast_transcendentals = true;
     opts.num_threads = 1 + static_cast<int>(rng.next_below(
                                static_cast<std::uint64_t>(
                                    std::max(1, max_threads))));
-    opts.tile_schedule =
-        rng.next_bool() ? TileSchedule::kStatic : TileSchedule::kDynamic;
+    opts.pool_backend = rng.next_bool();
     opts.never_pessimize = rng.next_bool(0.5);
 
     ++res->runs;
@@ -372,8 +366,9 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
         }
       }
 
-      // Self-consistency: a second fastmath run over a different schedule
-      // and thread count must reproduce the first bit-for-bit — the
+      // Self-consistency: a second fastmath run on the other tile-loop
+      // backend (OpenMP vs the work-stealing pool) and another thread count
+      // must reproduce the first bit-for-bit — the
       // approximate kernels are pure functions of their inputs, so any
       // difference indicts the execution machinery, not the approximation.
       // This is the only check covering kSelfOnly stages.
@@ -381,9 +376,7 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
       opts2.num_threads = 1 + static_cast<int>(rng.next_below(
                                   static_cast<std::uint64_t>(
                                       std::max(1, max_threads))));
-      opts2.tile_schedule = opts.tile_schedule == TileSchedule::kStatic
-                                ? TileSchedule::kDynamic
-                                : TileSchedule::kStatic;
+      opts2.pool_backend = !opts.pool_backend;
       opts2.never_pessimize = rng.next_bool(0.5);
       ++res->runs;
       rec.backend = "vector-fastmath(self)";
@@ -418,8 +411,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
     sopts.num_threads =
         1 + static_cast<int>(rng.next_below(
                 static_cast<std::uint64_t>(std::max(1, max_threads))));
-    sopts.tile_schedule =
-        rng.next_bool() ? TileSchedule::kStatic : TileSchedule::kDynamic;
     sopts.guard_arena = rng.next_bool(0.5);
     sopts.pooled_storage = rng.next_bool(0.25);
     sopts.pool_backend = rng.next_bool(0.25);
@@ -483,11 +474,10 @@ std::string DivergenceRecord::to_string() const {
   }
   os << "\n  opts: threads=" << opts.num_threads
      << " mode=" << (opts.mode == EvalMode::kRow ? "row" : "scalar")
-     << " compiled=" << opts.compiled << " vector=" << opts.vector_backend
+     << " vector=" << opts.vector_backend
      << " superops=" << opts.superop_fusion << " fma=" << opts.allow_fma
      << " fastmath=" << opts.fast_transcendentals
-     << " never_pessimize=" << opts.never_pessimize << " sched="
-     << (opts.tile_schedule == TileSchedule::kDynamic ? "dynamic" : "static")
+     << " never_pessimize=" << opts.never_pessimize
      << " pooled=" << opts.pooled_storage << " guard=" << opts.guard_arena
      << " pool_backend=" << opts.pool_backend;
   std::string sched = schedule;

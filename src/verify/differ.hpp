@@ -1,11 +1,11 @@
 // Cross-backend differential oracle.
 //
 // Runs a pipeline through every execution backend — scalar-tiled
-// interpreter, row interpreter, compiled scalar program, vectorized backend
-// with and without superop fusion — over randomized valid groupings, tile
-// sizes (including size-1, oversized and non-divisible), thread counts and
-// both tile schedules, and compares every materialized stage bit-for-bit
-// against the unfused scalar reference (run_reference).
+// evaluator, compiled scalar program, vectorized backend with and without
+// superop fusion, OpenMP and work-stealing-pool tile loops — over
+// randomized valid groupings, tile sizes (including size-1, oversized and
+// non-divisible) and thread counts, and compares every materialized stage
+// bit-for-bit against the unfused scalar reference (run_reference).
 //
 // On mismatch the result carries a minimized DivergenceRecord: the earliest
 // diverging stage in topo order, the exact coordinate, both bit patterns,

@@ -135,8 +135,9 @@ TEST(BorderTest, WrapBlurOnPeriodicSignalIsExact) {
   EXPECT_EQ(ref[0].at({0, 0}), expect);
 }
 
-// Property: the row evaluator equals the scalar interpreter under every
-// border mode for random stencils (exercises the general border gather).
+// Property: the compiled row kernels equal the scalar interpreter under
+// every border mode for random stencils (exercises the general border
+// gather).
 class BorderEvalFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(BorderEvalFuzz, EvaluatorsAgree) {
@@ -160,7 +161,7 @@ TEST_P(BorderEvalFuzz, EvaluatorsAgree) {
   std::vector<Buffer> inputs;
   inputs.push_back(make_synthetic_image({10, 14},
                                         static_cast<std::uint64_t>(GetParam())));
-  // Reference (scalar) vs a fused row-evaluated run over the same domain.
+  // Reference (scalar) vs a compiled row run over the same domain.
   const std::vector<Buffer> ref = run_reference(pl, inputs);
   Grouping g;
   GroupSchedule gs;

@@ -249,7 +249,6 @@ TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizes) {
     ExecOptions compiled_row;
     compiled_row.num_threads = 3;
     compiled_row.mode = EvalMode::kRow;
-    compiled_row.compiled = true;
     expect_outputs_match(pl, g, inputs, ref, compiled_row,
                          label + " compiled/kRow");
 
@@ -258,16 +257,9 @@ TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizes) {
     expect_outputs_match(pl, g, inputs, ref, legacy_backend,
                          label + " compiled/scalar-backend");
 
-    ExecOptions compiled_scalar = compiled_row;
-    compiled_scalar.mode = EvalMode::kScalar;
-    expect_outputs_match(pl, g, inputs, ref, compiled_scalar,
-                         label + " compiled/kScalar");
-
-    ExecOptions interpreted = compiled_row;
-    interpreted.compiled = false;
-    interpreted.tile_schedule = TileSchedule::kStatic;
-    expect_outputs_match(pl, g, inputs, ref, interpreted,
-                         label + " interpreted/kRow");
+    ExecOptions scalar = compiled_row;
+    scalar.mode = EvalMode::kScalar;
+    expect_outputs_match(pl, g, inputs, ref, scalar, label + " kScalar");
   }
 }
 
@@ -292,7 +284,6 @@ TEST_P(CompiledRandomPipelineTest, CompiledMatchesReference) {
   const std::vector<Buffer> ref = run_reference(*pl, inputs);
   ExecOptions opts;
   opts.num_threads = 2;
-  opts.compiled = true;
   expect_outputs_match(*pl, g, inputs, ref, opts, "random compiled");
 }
 
@@ -544,7 +535,6 @@ TEST_P(AdversarialTileTest, BitIdenticalOnHostileRowLengths) {
     ExecOptions vec;
     vec.num_threads = 2;
     vec.mode = EvalMode::kRow;
-    vec.compiled = true;
     vec.vector_backend = true;
     expect_outputs_match(pl, g, inputs, ref, vec, label + " vector");
 
@@ -576,7 +566,6 @@ TEST(AllowFmaTest, HarrisWithinToleranceOfReference) {
   ExecOptions opts;
   opts.num_threads = 2;
   opts.mode = EvalMode::kRow;
-  opts.compiled = true;
   opts.vector_backend = true;
   opts.allow_fma = true;
   const std::vector<Buffer> outs = run_pipeline(pl, g, inputs, opts);

@@ -69,7 +69,6 @@ TEST(DeadlineTest, DynamicScheduleCancellationLeavesWorkspaceReusable) {
 
   ExecOptions opts;
   opts.num_threads = 4;
-  opts.tile_schedule = TileSchedule::kDynamic;
   Executor ex(pl, tiny_tile_grouping(pl), opts);
   Workspace ws;
 

@@ -1,4 +1,4 @@
-// Evaluator equivalence tests: the row-vectorized evaluator must agree
+// Evaluator equivalence tests: the compiled row kernels must agree
 // bit-for-bit with the scalar interpreter on every operator, access kind,
 // and boundary condition.
 #include <gtest/gtest.h>
@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "ir/builder.hpp"
+#include "runtime/compile.hpp"
 #include "runtime/eval.hpp"
 #include "support/image_io.hpp"
 #include "support/rng.hpp"
@@ -13,36 +14,46 @@
 namespace fusedp {
 namespace {
 
-// Evaluates stage 0's body over its whole domain with both evaluators and
-// asserts bit-equality.  `srcs` resolves the stage's loads.
+// Evaluates the last stage's body over its whole domain with the compiled
+// row kernels and with eval_scalar_at, and asserts bit-equality.  Both the
+// plain one-row-per-op program and the vectorized program (superops,
+// register allocation, vector loads) run, with every load on the exact
+// border-folding kernel.  `srcs` resolves the stage's loads.
 void expect_evaluators_agree(const Pipeline& pl,
                              const std::vector<LoadSrc>& srcs) {
   const Stage& st = pl.stage(pl.num_stages() - 1);
   StageEvalCtx ctx;
   ctx.stage = &st;
   ctx.srcs = srcs;
-  RowEvaluator rowev;
+  const std::vector<unsigned char> clamped(st.loads.size(), 1);
   const Box& dom = st.domain;
   const int last = st.rank() - 1;
   std::vector<float> row(static_cast<std::size_t>(dom.extent(last)));
-  std::int64_t c[kMaxDims];
-  for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];
-  for (;;) {
-    rowev.eval_row(ctx, c, dom.lo[last], dom.hi[last], row.data());
-    for (std::int64_t y = dom.lo[last]; y <= dom.hi[last]; ++y) {
-      c[last] = y;
-      const float expect = eval_scalar_at(ctx, st.body, c);
-      const float got = row[static_cast<std::size_t>(y - dom.lo[last])];
-      if (std::memcmp(&expect, &got, 4) != 0)
-        FAIL() << "mismatch at y=" << y << ": " << expect << " vs " << got;
+  for (const bool vector : {false, true}) {
+    SCOPED_TRACE(vector ? "vector program" : "plain program");
+    const CompiledStage cs =
+        compile_stage(st, CompileOptions{vector, vector, vector});
+    CompiledRowEvaluator ev;
+    std::int64_t c[kMaxDims];
+    for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];
+    for (;;) {
+      ev.eval_row(cs, ctx, clamped.data(), c, dom.lo[last], dom.hi[last],
+                  row.data());
+      for (std::int64_t y = dom.lo[last]; y <= dom.hi[last]; ++y) {
+        c[last] = y;
+        const float expect = eval_scalar_at(ctx, st.body, c);
+        const float got = row[static_cast<std::size_t>(y - dom.lo[last])];
+        if (std::memcmp(&expect, &got, 4) != 0)
+          FAIL() << "mismatch at y=" << y << ": " << expect << " vs " << got;
+      }
+      c[last] = dom.lo[last];
+      int d = last - 1;
+      for (; d >= 0; --d) {
+        if (++c[d] <= dom.hi[d]) break;
+        c[d] = dom.lo[d];
+      }
+      if (d < 0) break;
     }
-    c[last] = dom.lo[last];
-    int d = last - 1;
-    for (; d >= 0; --d) {
-      if (++c[d] <= dom.hi[d]) break;
-      c[d] = dom.lo[d];
-    }
-    if (d < 0) break;
   }
 }
 
@@ -153,7 +164,7 @@ TEST(EvalTest, DynamicGather) {
 }
 
 TEST(EvalTest, SharedSubexpressionEvaluatedOnce) {
-  // Reusing an Eh twice must be correct (and, in the row evaluator, cached).
+  // Reusing an Eh twice must be correct (and, compiled, CSE'd to one op).
   Pipeline pl("p");
   const int img = pl.add_input("img", {8, 8});
   StageBuilder s(pl, pl.add_stage("s", {8, 8}));

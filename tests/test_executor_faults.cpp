@@ -150,7 +150,7 @@ TEST(ExecutorFaultTest, PooledWorkspacePrepareFailureIsRecoverable) {
   expect_matches_reference(pl, ws, ref);
 }
 
-TEST(ExecutorFaultTest, DynamicScheduleCancelsAndMatchesStatic) {
+TEST(ExecutorFaultTest, DynamicScheduleCancelsAndMatchesPool) {
   const PipelineSpec spec = make_unsharp(64, 96);
   const Pipeline& pl = *spec.pipeline;
   const std::vector<Buffer> inputs = spec.make_inputs();
@@ -161,7 +161,6 @@ TEST(ExecutorFaultTest, DynamicScheduleCancelsAndMatchesStatic) {
   // a mid-run fault still surfaces as exactly one coded error.
   ExecOptions dyn;
   dyn.num_threads = 4;
-  dyn.tile_schedule = TileSchedule::kDynamic;
   Executor ex_dyn(pl, tiny_tile_grouping(pl), dyn);
   Workspace ws_dyn;
   {
@@ -175,16 +174,16 @@ TEST(ExecutorFaultTest, DynamicScheduleCancelsAndMatchesStatic) {
   ex_dyn.run(inputs, ws_dyn);
   expect_matches_reference(pl, ws_dyn, ref);
 
-  // ...and identical to a static-schedule run of the same plan: the
+  // ...and identical to a work-stealing-pool run of the same plan: the
   // worksharing policy must never change the bits.
-  ExecOptions sta = dyn;
-  sta.tile_schedule = TileSchedule::kStatic;
-  Executor ex_sta(pl, tiny_tile_grouping(pl), sta);
-  Workspace ws_sta;
-  ex_sta.run(inputs, ws_sta);
+  ExecOptions pooled = dyn;
+  pooled.pool_backend = true;
+  Executor ex_pool(pl, tiny_tile_grouping(pl), pooled);
+  Workspace ws_pool;
+  ex_pool.run(inputs, ws_pool);
   for (int out : pl.outputs())
     EXPECT_TRUE(testing::buffers_equal(ws_dyn.stage_buffer(out),
-                                       ws_sta.stage_buffer(out)));
+                                       ws_pool.stage_buffer(out)));
 }
 
 TEST(ExecutorFaultTest, FaultFiresExactlyOnceAcrossThreads) {

@@ -238,7 +238,6 @@ std::vector<Buffer> run_with(const Pipeline& pl, const Grouping& g,
   ExecOptions opts;
   opts.num_threads = 2;
   opts.mode = EvalMode::kRow;
-  opts.compiled = true;
   opts.vector_backend = true;
   opts.fast_transcendentals = fastmath;
   opts.never_pessimize = never_pessimize;
@@ -306,7 +305,6 @@ TEST(NeverPessimizeTest, VerdictsArePopulated) {
   ExecOptions opts;
   opts.num_threads = 1;
   opts.mode = EvalMode::kRow;
-  opts.compiled = true;
   opts.vector_backend = true;
   const Executor ex(pl, g, opts);
 
@@ -342,7 +340,6 @@ TEST(NeverPessimizeTest, FastmathClearsLibmSuspicion) {
   ExecOptions opts;
   opts.num_threads = 1;
   opts.mode = EvalMode::kRow;
-  opts.compiled = true;
   opts.vector_backend = true;
   opts.fast_transcendentals = true;
   const Executor ex(pl, g, opts);

@@ -382,25 +382,23 @@ TEST(SessionObserverTest, RepeatedExecuteKeepsTracing) {
   EXPECT_GT(s.trace()->seconds, 0.0);
 }
 
-// --- back-compat shims ------------------------------------------------------
+// --- option projections ------------------------------------------------------
 
 TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
   Options o;
   o.num_threads = 7;
   o.mode = EvalMode::kScalar;
-  o.compiled = false;
   o.vector_backend = false;
   o.superop_fusion = false;
-  o.tile_schedule = TileSchedule::kStatic;
+  o.pool_backend = true;
   o.pooled_storage = true;
   o.guard_arena = true;
   const ExecOptions eo = make_exec_options(o);
   EXPECT_EQ(eo.num_threads, 7);
   EXPECT_EQ(eo.mode, EvalMode::kScalar);
-  EXPECT_FALSE(eo.compiled);
   EXPECT_FALSE(eo.vector_backend);
   EXPECT_FALSE(eo.superop_fusion);
-  EXPECT_EQ(eo.tile_schedule, TileSchedule::kStatic);
+  EXPECT_TRUE(eo.pool_backend);
   EXPECT_TRUE(eo.pooled_storage);
   EXPECT_TRUE(eo.guard_arena);
 

@@ -141,39 +141,25 @@ TEST(Differ, PlantedMiscompileCaughtWithFullRecord) {
 TEST(GuardArena, SyntheticOverrunDetectedCompiled) {
   // "eval.guard_overrun" writes one float past a row register's payload,
   // into the canary line — the class of bug the guard arena exists for.
+  // Both compiled programs (vectorized and plain) carry the guard.
   const auto pl = verify::generate_pipeline(5);
   const auto inputs = verify::generate_inputs(*pl, 5);
-  ExecOptions opts;
-  opts.guard_arena = true;
-  FaultInjector::arm_corrupt("eval.guard_overrun");
-  try {
-    run_pipeline(*pl, singletons(*pl), inputs, opts);
-    FaultInjector::disarm();
-    FAIL() << "guard arena missed the planted overrun";
-  } catch (const Error& e) {
-    FaultInjector::disarm();
-    EXPECT_EQ(e.code(), ErrorCode::kInternal);
-    EXPECT_NE(std::string(e.what()).find("guard"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(GuardArena, SyntheticOverrunDetectedInterpreted) {
-  const auto pl = verify::generate_pipeline(5);
-  const auto inputs = verify::generate_inputs(*pl, 5);
-  ExecOptions opts;
-  opts.guard_arena = true;
-  opts.compiled = false;  // exercise RowEvaluator's guard, not the compiler's
-  FaultInjector::arm_corrupt("eval.guard_overrun");
-  try {
-    run_pipeline(*pl, singletons(*pl), inputs, opts);
-    FaultInjector::disarm();
-    FAIL() << "guard arena missed the planted overrun";
-  } catch (const Error& e) {
-    FaultInjector::disarm();
-    EXPECT_EQ(e.code(), ErrorCode::kInternal);
-    EXPECT_NE(std::string(e.what()).find("guard"), std::string::npos)
-        << e.what();
+  for (const bool vec : {true, false}) {
+    SCOPED_TRACE(vec ? "vector backend" : "plain backend");
+    ExecOptions opts;
+    opts.guard_arena = true;
+    opts.vector_backend = vec;
+    FaultInjector::arm_corrupt("eval.guard_overrun");
+    try {
+      run_pipeline(*pl, singletons(*pl), inputs, opts);
+      FaultInjector::disarm();
+      ADD_FAILURE() << "guard arena missed the planted overrun";
+    } catch (const Error& e) {
+      FaultInjector::disarm();
+      EXPECT_EQ(e.code(), ErrorCode::kInternal);
+      EXPECT_NE(std::string(e.what()).find("guard"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -206,7 +192,7 @@ TEST(Differ, GroupingOracleMatchesChosenSchedule) {
   const auto inputs = verify::generate_inputs(*pl, 11);
   const DiffResult res = verify::diff_grouping(*pl, singletons(*pl), inputs, 11);
   EXPECT_FALSE(res.diverged) << res.record.to_string();
-  EXPECT_EQ(res.runs, 9);  // bit-exact configs + fastmath tol/self + Session
+  EXPECT_EQ(res.runs, 8);  // bit-exact configs + fastmath tol/self + Session
 }
 
 }  // namespace
