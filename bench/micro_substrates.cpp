@@ -18,7 +18,7 @@ void BM_PartitionEnumeration(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) s = s.with(i);
   for (auto _ : state) {
     std::uint64_t count = 0;
-    for_each_partition(s, [&](const std::vector<NodeSet>& parts) {
+    for_each_partition(s, [&](std::span<const NodeSet> parts) {
       count += parts.size();
     });
     benchmark::DoNotOptimize(count);

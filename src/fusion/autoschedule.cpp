@@ -64,7 +64,8 @@ std::string Diagnostics::summary() const {
     if (a.succeeded)
       out << "ok (" << a.states << " states, " << a.seconds << "s)";
     else
-      out << "failed [" << error_code_name(a.code) << "] " << a.detail;
+      out << "failed after " << a.states << " states, " << a.seconds
+          << "s [" << error_code_name(a.code) << "] " << a.detail;
     out << "\n";
   }
   return out.str();
@@ -124,6 +125,10 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     return ok;
   };
 
+  // One DpFusion serves every DP attempt, so the group costs and
+  // feasibility verdicts one attempt computed are not recomputed by the
+  // next.
+  DpFusion dp(pl, model);
   const auto run_dp = [&](TierAttempt& a, int group_limit) {
     DpOptions dopts;
     dopts.group_limit = group_limit;
@@ -132,7 +137,7 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     // check and here, and a non-positive value would mean "no deadline".
     if (opts.deadline_seconds > 0)
       dopts.deadline_seconds = std::max(remaining(), 1e-9);
-    DpFusion dp(pl, model, dopts);
+    dp.set_options(dopts);
     try {
       Grouping g = dp.run();
       a.states = dp.stats().groupings_enumerated;

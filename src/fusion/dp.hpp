@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +75,12 @@ class DpFusion {
  public:
   DpFusion(const Pipeline& pl, const CostModel& model, DpOptions opts = {});
 
+  // Replaces the options for the following runs.  One object can serve a
+  // whole search ladder: the group-cost and feasibility memos depend only on
+  // the pipeline and the model, so they carry over from run to run, while
+  // the state memo, the sandwich memo and the stats start over each run.
+  void set_options(DpOptions opts);
+
   // Runs Algorithm 1 from {{source}} and returns the optimal grouping.
   Grouping run();
   // Same, but over an explicit quotient graph (used by Algorithm 3).
@@ -86,39 +92,61 @@ class DpFusion {
   std::vector<Grouping> run_top_k();
   std::vector<Grouping> run_top_k_on(const QuotientGraph& q);
 
+  // Stats of the last run (or of the run in progress when it threw).
   const DpStats& stats() const { return stats_; }
 
  private:
-  // One complete grouping reachable from a state: its total cost and the
-  // finalized quotient-node sets.  An Entry holds the <= top_k cheapest
-  // distinct candidates, sorted by cost (ties keep the first-found, which
-  // preserves the classic recurrence's strict-< winner for k = 1).
+  static constexpr std::uint32_t kNoState = ~0u;
+
+  // One complete grouping reachable from a state, held as a link of a
+  // chain rather than a copied group list: the chain continues at
+  // candidate `sub_cand` of state `sub_state` (none for a base case), and
+  // `finalizes` says whether this state's open groups become final groups
+  // here (Case II and the base case) or grow on (Case I).  `partition` is
+  // the order-independent hash of the final groups, so two candidates can
+  // only hold the same partition when their hashes agree.
   struct Candidate {
     double cost = kInfiniteCost;
-    std::vector<std::uint64_t> final_groups;  // quotient-node sets
+    std::uint64_t partition = 0;
+    std::uint32_t sub_state = kNoState;
+    std::uint32_t sub_cand : 31 = 0;
+    std::uint32_t finalizes : 1 = 0;
   };
-  struct Entry {
-    std::vector<Candidate> cands;  // sorted by cost; empty == infeasible
-  };
-  using Key = std::vector<std::uint64_t>;
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = 1469598103934665603ull;
-      for (std::uint64_t v : k) {
-        h ^= v;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
+  // A memoized state: its open groups in first-visit order
+  // (group_pool_[groups, groups + ngroups)) and its <= top_k candidates
+  // sorted by cost (cand_pool_[cands, cands + ncands)); no candidates means
+  // infeasible.  Ties keep the first-found, which preserves the classic
+  // recurrence's strict-< winner for k = 1.
+  struct State {
+    std::uint32_t groups = 0;
+    std::uint32_t cands = 0;
+    std::uint32_t ncands = 0;
+    std::uint32_t ngroups = 0;
   };
 
-  const Entry& solve(const std::vector<NodeSet>& groups);
-  // Inserts (extra + c.cost, prefix ++ c.final_groups) into e's sorted
-  // candidate list, deduplicating by partition and trimming to top_k.
-  void merge_candidate(Entry& e, double extra,
-                       const std::vector<std::uint64_t>* prefix,
+  // Returns the index of the state whose open groups are `groups`, solving
+  // it first if it is new.  `depth` is the recursion depth, which picks the
+  // state's slice of cand_scratch_.
+  std::uint32_t solve(std::span<const NodeSet> groups, std::size_t depth);
+  // Looks `groups` (hash h) up in the open-addressing state memo; returns
+  // the state, or kNoState with `*slot` set to the empty slot that ends the
+  // probe.
+  std::uint32_t find_state(std::span<const NodeSet> groups, std::uint64_t h,
+                           std::size_t* slot) const;
+  void grow_slots();
+  // Inserts `nc` into the sorted list cand_scratch_[base, base + *n),
+  // deduplicating by partition and trimming to top_k.  `state` is the state
+  // the list belongs to.
+  void merge_candidate(std::size_t base, std::uint32_t* n,
+                       std::uint32_t state, const Candidate& nc);
+  // Appends the final groups of the chain that starts at candidate `c` of
+  // `state` to out, advancing *n.  At most kMaxNodes groups (disjoint).
+  void chain_groups(std::uint32_t state, Candidate c, std::uint64_t* out,
+                    int* n) const;
+  bool same_partition(std::uint32_t state, const Candidate& a,
+                      const Candidate& b) const;
+  Grouping grouping_of(const QuotientGraph& q, std::uint32_t state,
                        const Candidate& c) const;
-  Grouping grouping_of(const QuotientGraph& q, const Candidate& c) const;
   double group_cost(NodeSet quotient_group);
   // Cheap monotone validity check used to prune Case I merges.
   bool merge_feasible(NodeSet quotient_group);
@@ -131,9 +159,20 @@ class DpFusion {
   DpStats stats_;
   WallTimer deadline_timer_;  // restarted at run_on() entry
   const QuotientGraph* q_ = nullptr;
-  std::unordered_map<Key, Entry, KeyHash> memo_;
+  // State memo: flat pools indexed by state, plus an open-addressing table
+  // over them with linear probing from slot (hash >> 32) & mask.  A slot
+  // holds (hash >> 32) << 32 | (state + 1), so growing the table never
+  // touches the states; 0 is empty.
+  std::vector<State> states_;
+  std::vector<std::uint64_t> group_pool_;
+  std::vector<Candidate> cand_pool_;
+  std::vector<std::uint64_t> slots_;
+  // Candidate lists under construction, top_k entries per recursion depth.
+  std::vector<Candidate> cand_scratch_;
+  // Keyed on original-stage sets: pure functions of pipeline and model.
   std::unordered_map<std::uint64_t, double> cost_memo_;
   std::unordered_map<std::uint64_t, bool> feas_memo_;
+  // Keyed on quotient-node sets: valid for one quotient graph.
   std::unordered_map<std::uint64_t, bool> sandwich_memo_;
 };
 

@@ -15,6 +15,9 @@ Grouping IncFusion::run() {
   int limit = opts_.initial_limit;
   QuotientGraph q = QuotientGraph::identity(*pl_);
   Grouping current;
+  // One DpFusion for all passes: group costs and feasibility verdicts of
+  // original-stage sets carry over from pass to pass.
+  DpFusion dp(*pl_, *model_);
 
   for (;;) {
     ++stats_.iterations;
@@ -29,7 +32,7 @@ Grouping IncFusion::run() {
                             " iterations");
       dopts.deadline_seconds = remaining;
     }
-    DpFusion dp(*pl_, *model_, dopts);
+    dp.set_options(dopts);
     current = dp.run_on(q);
     stats_.groupings_enumerated += dp.stats().groupings_enumerated;
     stats_.max_succ = std::max(stats_.max_succ, dp.stats().max_succ);

@@ -93,34 +93,36 @@ std::vector<int> Digraph::topo_order_of(NodeSet s) const {
   return order;
 }
 
-bool Digraph::quotient_is_acyclic(const std::vector<NodeSet>& groups) const {
+bool Digraph::quotient_is_acyclic(std::span<const NodeSet> groups) const {
+  // Disjoint non-empty groups over <= kMaxNodes nodes: fixed arrays suffice.
+  FUSEDP_CHECK(groups.size() <= static_cast<std::size_t>(kMaxNodes),
+               "more groups than nodes");
   const int g = static_cast<int>(groups.size());
   // Build group-level adjacency, then Kahn's algorithm.
-  std::vector<NodeSet> gsucc(static_cast<std::size_t>(g));
-  std::vector<int> indeg(static_cast<std::size_t>(g), 0);
+  NodeSet gsucc[kMaxNodes];
+  int indeg[kMaxNodes] = {};
   for (int a = 0; a < g; ++a) {
     const NodeSet sa = successors_of_set(groups[static_cast<std::size_t>(a)]);
     for (int b = 0; b < g; ++b) {
       if (a == b) continue;
       if (sa.intersects(groups[static_cast<std::size_t>(b)])) {
-        if (!gsucc[static_cast<std::size_t>(a)].contains(b)) {
-          gsucc[static_cast<std::size_t>(a)] =
-              gsucc[static_cast<std::size_t>(a)].with(b);
-          ++indeg[static_cast<std::size_t>(b)];
+        if (!gsucc[a].contains(b)) {
+          gsucc[a] = gsucc[a].with(b);
+          ++indeg[b];
         }
       }
     }
   }
-  std::vector<int> stack;
+  int stack[kMaxNodes];
+  int top = 0;
   for (int i = 0; i < g; ++i)
-    if (indeg[static_cast<std::size_t>(i)] == 0) stack.push_back(i);
+    if (indeg[i] == 0) stack[top++] = i;
   int seen = 0;
-  while (!stack.empty()) {
-    const int a = stack.back();
-    stack.pop_back();
+  while (top > 0) {
+    const int a = stack[--top];
     ++seen;
-    gsucc[static_cast<std::size_t>(a)].for_each([&](int b) {
-      if (--indeg[static_cast<std::size_t>(b)] == 0) stack.push_back(b);
+    gsucc[a].for_each([&](int b) {
+      if (--indeg[b] == 0) stack[top++] = b;
     });
   }
   return seen == g;

@@ -6,6 +6,7 @@
 // validation), and source/sink sets.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/nodeset.hpp"
@@ -53,7 +54,7 @@ class Digraph {
   // True iff the quotient graph whose vertices are `groups` (disjoint node
   // sets covering a subset of nodes) is acyclic, considering only edges
   // between different groups.
-  bool quotient_is_acyclic(const std::vector<NodeSet>& groups) const;
+  bool quotient_is_acyclic(std::span<const NodeSet> groups) const;
 
   // Must be called after all edges are added and before reachability queries.
   void finalize();

@@ -6,29 +6,30 @@ namespace fusedp {
 
 namespace {
 
-// Recursively assigns members[i..k-1] to existing parts or a fresh part.
+using Parts = std::array<NodeSet, kMaxPartitionSetSize>;
+
+// Recursively assigns members[i..k-1] to parts[0..nparts) or a fresh part.
 void enumerate(const std::array<int, kMaxPartitionSetSize>& members, int k,
-               int i, std::vector<NodeSet>& parts,
-               const std::function<void(const std::vector<NodeSet>&)>& fn) {
+               int i, Parts& parts, std::size_t nparts,
+               const std::function<void(std::span<const NodeSet>)>& fn) {
   if (i == k) {
-    fn(parts);
+    fn(std::span<const NodeSet>(parts.data(), nparts));
     return;
   }
   const int n = members[static_cast<std::size_t>(i)];
-  for (std::size_t p = 0; p < parts.size(); ++p) {
+  for (std::size_t p = 0; p < nparts; ++p) {
     parts[p] = parts[p].with(n);
-    enumerate(members, k, i + 1, parts, fn);
+    enumerate(members, k, i + 1, parts, nparts, fn);
     parts[p] = parts[p].without(n);
   }
-  parts.push_back(NodeSet::single(n));
-  enumerate(members, k, i + 1, parts, fn);
-  parts.pop_back();
+  parts[nparts] = NodeSet::single(n);
+  enumerate(members, k, i + 1, parts, nparts + 1, fn);
 }
 
 }  // namespace
 
 void for_each_partition(
-    NodeSet s, const std::function<void(const std::vector<NodeSet>&)>& fn) {
+    NodeSet s, const std::function<void(std::span<const NodeSet>)>& fn) {
   const int k = s.size();
   FUSEDP_CHECK(k <= kMaxPartitionSetSize, "partition set too large");
   std::array<int, kMaxPartitionSetSize> members{};
@@ -36,9 +37,8 @@ void for_each_partition(
     int i = 0;
     s.for_each([&](int n) { members[static_cast<std::size_t>(i++)] = n; });
   }
-  std::vector<NodeSet> parts;
-  parts.reserve(static_cast<std::size_t>(k));
-  enumerate(members, k, 0, parts, fn);
+  Parts parts{};
+  enumerate(members, k, 0, parts, 0, fn);
 }
 
 std::uint64_t bell_number(int k) {

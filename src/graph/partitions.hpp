@@ -9,21 +9,22 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "graph/nodeset.hpp"
 
 namespace fusedp {
 
 // Invokes `fn` once per partition of the members of `s`.  Each partition is a
-// vector of disjoint non-empty NodeSets whose union is `s`.  The vector
-// passed to `fn` is reused between calls; copy it if you keep it.
-// Enumeration order is deterministic.  `s` may have at most
-// `kMaxPartitionSetSize` members (guards against pathological frontiers).
+// span of disjoint non-empty NodeSets whose union is `s`, over storage that
+// is reused between calls; copy it if you keep it.  The enumeration itself
+// allocates nothing.  Enumeration order is deterministic.  `s` may have at
+// most `kMaxPartitionSetSize` members (guards against pathological
+// frontiers).
 inline constexpr int kMaxPartitionSetSize = 12;
 
-void for_each_partition(NodeSet s,
-                        const std::function<void(const std::vector<NodeSet>&)>& fn);
+void for_each_partition(
+    NodeSet s, const std::function<void(std::span<const NodeSet>)>& fn);
 
 // Number of partitions of a k-element set (Bell number); k <= 20.
 std::uint64_t bell_number(int k);

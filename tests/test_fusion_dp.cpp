@@ -174,6 +174,27 @@ TEST(DpTest, StateBudgetEnforced) {
   EXPECT_THROW(dp.run(), Error);
 }
 
+TEST(DpTest, SecondRunOnOneObjectStartsAFreshBudget) {
+  // Harris at paper/8 takes 713 states.  A reused DpFusion must count its
+  // second run from zero, not from the first run's total, or this budget
+  // would fire halfway through it.
+  const PipelineSpec spec = make_benchmark("harris", 8);
+  const CostModel model(*spec.pipeline, MachineModel::xeon_haswell());
+  DpOptions opts;
+  opts.max_states = 1000;
+  DpFusion dp(*spec.pipeline, model, opts);
+  const Grouping first = dp.run();
+  EXPECT_EQ(dp.stats().groupings_enumerated, 713u);
+  const Grouping second = dp.run();
+  EXPECT_EQ(dp.stats().groupings_enumerated, 713u);
+  ASSERT_EQ(first.groups.size(), second.groups.size());
+  for (std::size_t i = 0; i < first.groups.size(); ++i) {
+    EXPECT_EQ(first.groups[i].stages, second.groups[i].stages);
+    EXPECT_EQ(first.groups[i].tile_sizes, second.groups[i].tile_sizes);
+  }
+  EXPECT_EQ(first.total_cost, second.total_cost);
+}
+
 TEST(DpTest, BilateralNeverFusesReductionOrSlice) {
   const PipelineSpec spec = make_bilateral(256, 256);
   const CostModel model(*spec.pipeline, MachineModel::xeon_haswell());

@@ -96,12 +96,12 @@ TEST(DigraphTest, TopoOrderOfSubset) {
 TEST(DigraphTest, QuotientAcyclicity) {
   const Digraph g = diamond();
   // {0,3} sandwiches 1 and 2 -> cyclic quotient.
-  EXPECT_FALSE(g.quotient_is_acyclic(
-      {NodeSet::single(0).with(3), NodeSet::single(1), NodeSet::single(2)}));
-  EXPECT_TRUE(g.quotient_is_acyclic(
-      {NodeSet::single(0).with(1), NodeSet::single(2), NodeSet::single(3)}));
-  EXPECT_TRUE(g.quotient_is_acyclic(
-      {NodeSet::single(0).with(1).with(2).with(3)}));
+  EXPECT_FALSE(g.quotient_is_acyclic(std::vector<NodeSet>{
+      NodeSet::single(0).with(3), NodeSet::single(1), NodeSet::single(2)}));
+  EXPECT_TRUE(g.quotient_is_acyclic(std::vector<NodeSet>{
+      NodeSet::single(0).with(1), NodeSet::single(2), NodeSet::single(3)}));
+  EXPECT_TRUE(g.quotient_is_acyclic(std::vector<NodeSet>{
+      NodeSet::single(0).with(1).with(2).with(3)}));
 }
 
 TEST(DigraphTest, MutuallyCyclicGroupsDetected) {
@@ -114,8 +114,8 @@ TEST(DigraphTest, MutuallyCyclicGroupsDetected) {
   g.add_edge(0, 4);
   g.add_edge(3, 2);
   g.finalize();
-  EXPECT_FALSE(g.quotient_is_acyclic(
-      {NodeSet::single(0).with(1).with(2), NodeSet::single(3).with(4)}));
+  EXPECT_FALSE(g.quotient_is_acyclic(std::vector<NodeSet>{
+      NodeSet::single(0).with(1).with(2), NodeSet::single(3).with(4)}));
 }
 
 TEST(DigraphTest, CycleThrows) {
@@ -141,14 +141,14 @@ TEST(PartitionsTest, CountsAreBellNumbers) {
     NodeSet s;
     for (int i = 0; i < k; ++i) s = s.with(i * 3);  // non-contiguous members
     std::uint64_t count = 0;
-    for_each_partition(s, [&](const std::vector<NodeSet>&) { ++count; });
+    for_each_partition(s, [&](std::span<const NodeSet>) { ++count; });
     EXPECT_EQ(count, bell_number(k)) << "k=" << k;
   }
 }
 
 TEST(PartitionsTest, PartsAreDisjointAndCover) {
   NodeSet s = NodeSet::single(1).with(4).with(6).with(7);
-  for_each_partition(s, [&](const std::vector<NodeSet>& parts) {
+  for_each_partition(s, [&](std::span<const NodeSet> parts) {
     NodeSet u;
     for (NodeSet p : parts) {
       EXPECT_FALSE(p.empty());
@@ -162,7 +162,7 @@ TEST(PartitionsTest, PartsAreDisjointAndCover) {
 TEST(PartitionsTest, DistinctPartitions) {
   NodeSet s = NodeSet::single(0).with(1).with(2).with(3).with(4);
   std::set<std::vector<std::uint64_t>> seen;
-  for_each_partition(s, [&](const std::vector<NodeSet>& parts) {
+  for_each_partition(s, [&](std::span<const NodeSet> parts) {
     std::vector<std::uint64_t> key;
     for (NodeSet p : parts) key.push_back(p.bits());
     std::sort(key.begin(), key.end());
@@ -173,7 +173,7 @@ TEST(PartitionsTest, DistinctPartitions) {
 
 TEST(PartitionsTest, EmptySetHasOnePartition) {
   int count = 0;
-  for_each_partition(NodeSet(), [&](const std::vector<NodeSet>& parts) {
+  for_each_partition(NodeSet(), [&](std::span<const NodeSet> parts) {
     EXPECT_TRUE(parts.empty());
     ++count;
   });
