@@ -171,13 +171,7 @@ Grouping schedule(Scheduler which, const PipelineSpec& spec,
       });
     }
     case Scheduler::kHAuto: {
-      HalideAutoOptions opts;
-      opts.cache_bytes = cfg.machine.l2_bytes;
-      opts.parallelism_threshold = cfg.machine.cores;
-      // Paper Section 6.2: VECTOR_WIDTH = 16 = 2x the native f32 width.
-      opts.vector_width = 2 * cfg.machine.vector_width_floats;
-      opts.load_cost = 40.0;
-      const HalideAuto h(pl, model, opts);
+      const HalideAuto h(pl, model);
       return h.run();
     }
     case Scheduler::kHManual:

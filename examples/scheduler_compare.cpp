@@ -89,11 +89,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(tuned.best_t2), tuned.best_tolerance);
 
   // H-auto.
-  HalideAutoOptions hopt;
-  hopt.cache_bytes = machine.l2_bytes;
-  hopt.parallelism_threshold = machine.cores;
-  hopt.vector_width = 2 * machine.vector_width_floats;
-  HalideAuto hauto(pl, model, hopt);
+  HalideAuto hauto(pl, model);
   rows.push_back({"H-auto", hauto.run()});
 
   // H-manual.

@@ -29,17 +29,6 @@ const char* scheduler_name(Scheduler s) {
   return "?";
 }
 
-AutoScheduleOptions make_autoschedule_options(const Options& opts) {
-  AutoScheduleOptions ao;
-  ao.deadline_seconds = opts.deadline_seconds;
-  ao.max_states = opts.max_states;
-  ao.bounded_initial_limit = opts.bounded_initial_limit;
-  ao.greedy_t1 = opts.greedy_t1;
-  ao.greedy_t2 = opts.greedy_t2;
-  ao.greedy_tolerance = opts.greedy_tolerance;
-  return ao;
-}
-
 std::uint64_t Options::schedule_fingerprint() const {
   Fnv64 h;
   h.add_str("fusedp-options-v1");
@@ -182,8 +171,11 @@ Result<bool> validate_options(const Options& opts) {
 
 namespace {
 
-// Shared open() precondition checks.
-Result<bool> check_openable(const Pipeline& pl, const Options& opts) {
+// Shared open() precondition checks, then Options::machine_file: a
+// non-empty path replaces opts.machine with the fitted model before
+// anything fingerprints it, so cache keys carry fitted-model provenance.  A
+// load failure fails the open with the loader's coded error.
+Result<bool> prepare_open(const Pipeline& pl, Options& opts) {
   Result<bool> v = validate_options(opts);
   if (!v.ok()) return v;
   if (!pl.finalized())
@@ -204,14 +196,6 @@ Result<bool> check_openable(const Pipeline& pl, const Options& opts) {
        << pl.name() << "' takes " << pl.num_inputs() << " input(s)";
     return Result<bool>::failure(ErrorCode::kInvalidArgument, os.str());
   }
-  return true;
-}
-
-// Applies Options::machine_file: a non-empty path replaces opts.machine with
-// the fitted model before anything fingerprints it, so cache keys carry
-// fitted-model provenance automatically.  A load failure fails the open with
-// the loader's coded error.
-Result<bool> apply_machine_file(Options& opts) {
   if (opts.machine_file.empty()) return true;
   Result<MachineModel> mm = load_machine(opts.machine_file);
   if (!mm.ok()) return mm.error();
@@ -241,14 +225,186 @@ std::vector<Buffer> synthesize_warmup_inputs(const Pipeline& pl) {
   return inputs;
 }
 
+// Inverse of schedule_tier_name, for labeling a cache-served schedule's
+// diagnostics with the tier that originally found it.
+ScheduleTier tier_from_rung(const std::string& rung) {
+  if (rung == "full-dp") return ScheduleTier::kFullDp;
+  if (rung == "measured") return ScheduleTier::kFullDp;  // k-best full DP
+  if (rung == "bounded-dp") return ScheduleTier::kBoundedDp;
+  if (rung == "unfused") return ScheduleTier::kUnfused;
+  return ScheduleTier::kGreedy;  // "greedy" and anything unrecognized
+}
+
+// Runs `f` and maps whatever it throws to the coded failure every open
+// route reports, so Session::open never throws.
+template <typename T, typename F>
+Result<T> coded(F&& f) {
+  try {
+    return f();
+  } catch (const Error& e) {
+    return Result<T>(e);
+  } catch (const std::bad_alloc&) {
+    return Result<T>::failure(ErrorCode::kAllocationFailed,
+                              "Session::open: out of memory");
+  } catch (const std::exception& e) {
+    return Result<T>::failure(ErrorCode::kInternal, e.what());
+  }
+}
+
+// The kMeasured shoot-out: times each k-best candidate on a warmup frame
+// and returns the index of the fastest, recording one attempt per
+// candidate in `diag` and on `obs`.  Measurement runs in scratch
+// workspaces and never touches session state, so the chosen schedule's
+// outputs are bit-identical to what the model-ranked schedule would
+// compute — only the *choice* among model-optimal-ish schedules changes.
+// The winner's per-group measured wall times land in `measured_ms`.
+std::size_t shoot_out(const Pipeline& pl, const Options& opts,
+                      const std::vector<Grouping>& cands, const Deadline* odl,
+                      observe::Observer* obs, Diagnostics& diag,
+                      std::vector<double>& measured_ms) {
+  std::vector<Buffer> synth;
+  const std::vector<Buffer>* warm = opts.warmup_inputs;
+  if (warm == nullptr) {
+    synth = synthesize_warmup_inputs(pl);
+    warm = &synth;
+  }
+  const ExecOptions eo = make_exec_options(opts);
+  int best = -1;
+  double best_ms = 0.0;
+  bool expired = false;
+  for (std::size_t ci = 0; ci < cands.size() && !expired; ++ci) {
+    observe::ScheduleAttempt at;
+    at.tier = "measured";
+    TierAttempt ta;
+    ta.tier = ScheduleTier::kFullDp;
+    WallTimer ct;
+    try {
+      // An already-expired deadline must not start another candidate; the
+      // executor's own checks sit at tile boundaries, so a tiny
+      // single-tile candidate could otherwise sneak through.
+      if (odl != nullptr && odl->expired())
+        throw Error("measured rung: open deadline expired",
+                    ErrorCode::kDeadlineExceeded);
+      Executor ex(pl, cands[ci], eo);
+      Workspace cand_ws;
+      double ms = 0.0;
+      for (int r = 0; r < opts.measured_repeats; ++r) {
+        WallTimer t;
+        ex.run(*warm, cand_ws, nullptr, odl);
+        const double s = t.seconds() * 1e3;
+        if (r == 0 || s < ms) ms = s;
+      }
+      if (best < 0 || ms < best_ms) {
+        best = static_cast<int>(ci);
+        best_ms = ms;
+      }
+      at.succeeded = true;
+      std::ostringstream os;
+      os << "candidate " << ci << ": " << cands[ci].groups.size()
+         << " groups, model cost " << cands[ci].total_cost << ", best of "
+         << opts.measured_repeats << " rep(s) " << ms << " ms";
+      at.detail = os.str();
+    } catch (const Error& e) {
+      // An expired deadline ends the shoot-out (the clock stays expired);
+      // any other coded failure skips just this candidate — a candidate
+      // that cannot even run must not win.
+      at.succeeded = false;
+      at.code = error_code_name(e.code());
+      std::ostringstream os;
+      os << "candidate " << ci << ": " << e.what();
+      at.detail = os.str();
+      if (e.code() == ErrorCode::kDeadlineExceeded) expired = true;
+    }
+    at.seconds = ct.seconds();
+    if (obs != nullptr) obs->on_schedule_attempt(at);
+    ta.succeeded = at.succeeded;
+    if (!at.succeeded)
+      ta.code = expired ? ErrorCode::kDeadlineExceeded : ErrorCode::kInternal;
+    ta.detail = at.detail;
+    ta.seconds = at.seconds;
+    diag.attempts.push_back(std::move(ta));
+  }
+  // With no completed measurement (deadline expired up front) the
+  // model-ranked #1 wins, which is exactly what Scheduler::kDp would have
+  // returned.
+  if (best < 0) return 0;
+  const std::size_t win = static_cast<std::size_t>(best);
+
+  // Harvest the winner's per-group measured times from one traced run;
+  // they ride along in the find-db record (measured_ms) and feed `fusedp
+  // tune`.  Best-effort: a failure here never loses the chosen schedule.
+  try {
+    observe::TraceCollector tc(false);
+    Executor ex(pl, cands[win], eo);
+    Workspace cand_ws;
+    ex.run(*warm, cand_ws, &tc, odl);
+    const observe::RunTrace* t = tc.last();
+    if (t != nullptr) {
+      measured_ms.assign(cands[win].groups.size(), 0.0);
+      for (const observe::GroupRecord& g : t->groups)
+        for (std::size_t gi = 0; gi < cands[win].groups.size(); ++gi)
+          if (cands[win].groups[gi].stages.bits() == g.stage_bits)
+            measured_ms[gi] = g.seconds * 1e3;
+    }
+  } catch (...) {
+    measured_ms.clear();
+  }
+  return win;
+}
+
+// A caller's grouping with its missing per-group predicted costs filled
+// from the cost model, so the report's predicted column is populated.  Tile
+// sizes are never touched: a caller-provided grouping executes exactly as
+// given (complete_grouping would overwrite deliberately-absent tile sizes
+// and change the run).
+Grouping with_predicted_costs(const Pipeline& pl, const MachineModel& machine,
+                              Grouping g) {
+  const CostModel model(pl, machine);
+  double total = 0.0;
+  for (GroupSchedule& gs : g.groups) {
+    if (gs.cost == 0.0) {
+      try {
+        GroupCost gc = model.cost(gs.stages);
+        if (gc.feasible()) gs.cost = gc.cost;
+      } catch (const Error&) {
+        // Model cannot score this group (e.g. a reduction); leave 0.
+      }
+    }
+    total += gs.cost;
+  }
+  if (g.total_cost == 0.0) g.total_cost = total;
+  return g;
+}
+
 }  // namespace
 
-Session::Session(const Pipeline& pl, Options opts, Grouping grouping,
-                 Diagnostics diag)
-    : pl_(&pl),
-      opts_(std::move(opts)),
-      grouping_(std::move(grouping)),
-      diag_(std::move(diag)) {}
+// What the find-db probe hands the later phases: the cache (null when off
+// or unopenable) and this open's key, plus a hit that parsed and validated.
+struct Session::CacheProbe {
+  std::unique_ptr<findb::FindDb> db;
+  findb::CacheKey key;
+  bool hit = false;
+  Grouping grouping;  // the hit's schedule, with its recorded costs
+  Diagnostics diag;   // the hit's: no search ran
+};
+
+// A fresh search's result.
+struct Session::Found {
+  Grouping grouping;
+  Diagnostics diag;
+  std::vector<double> measured_ms;  // kMeasured winners only, group order
+};
+
+// Every open route constructs its session first, so the sinks wired here
+// see the probe and search events as they happen.
+Session::Session(const Pipeline& pl, Options opts)
+    : pl_(&pl), opts_(std::move(opts)) {
+  if (opts_.collect_trace)
+    collector_ = std::make_unique<observe::TraceCollector>(opts_.trace_tiles);
+  if (collector_ != nullptr && opts_.observer != nullptr)
+    tee_ = std::make_unique<observe::TeeObserver>(collector_.get(),
+                                                  opts_.observer);
+}
 
 observe::Observer* Session::effective_observer() const {
   if (tee_ != nullptr) return tee_.get();
@@ -256,44 +412,44 @@ observe::Observer* Session::effective_observer() const {
   return opts_.observer;
 }
 
+void Session::emit_cache_event(observe::CacheEvent ev) {
+  if (observe::Observer* obs = effective_observer())
+    obs->on_cache_event(ev);
+  cache_events_.push_back(std::move(ev));
+}
+
 // The degradation ladder, leanest-last.  Every rung computes bit-identical
 // outputs (the vector backend and superop fusion are bit-exact transforms;
 // the unfused schedule changes only evaluation order across group
 // boundaries, which the executor's overlapped-tiling semantics make
-// value-neutral), so degrading trades only speed for robustness.
+// value-neutral), so degrading trades only speed for robustness.  Every
+// fallback rung drops superops and FMA contraction (a superop transform)
+// and the approximate kernels, since degraded runs must be bit-identical
+// to the reference.
 void Session::build_rungs() {
+  struct Rung {
+    const char* label;
+    bool applies;
+    bool keep_vector;
+    bool unfused;
+  };
+  const ExecOptions base = make_exec_options(opts_);
+  const Rung table[] = {
+      {"no-superops", base.vector_backend && base.superop_fusion, true, false},
+      {"no-vector", base.vector_backend, false, false},
+      {"unfused", true, false, true},
+  };
   rungs_.clear();
-  ExecOptions base = make_exec_options(opts_);
-  if (base.vector_backend && base.superop_fusion) {
+  for (const Rung& t : table) {
+    if (!t.applies) continue;
     FallbackRung r;
-    r.label = "no-superops";
+    r.label = t.label;
     r.exec = base;
-    r.exec.superop_fusion = false;
-    r.exec.allow_fma = false;  // FMA contraction is a superop transform
-    // Degraded runs must be bit-identical to the reference, so the
-    // approximate kernels are dropped along with FMA.
-    r.exec.fast_transcendentals = false;
-    rungs_.push_back(std::move(r));
-  }
-  if (base.vector_backend) {
-    FallbackRung r;
-    r.label = "no-vector";
-    r.exec = base;
-    r.exec.vector_backend = false;
+    r.exec.vector_backend = base.vector_backend && t.keep_vector;
     r.exec.superop_fusion = false;
     r.exec.allow_fma = false;
     r.exec.fast_transcendentals = false;
-    rungs_.push_back(std::move(r));
-  }
-  {
-    FallbackRung r;
-    r.label = "unfused";
-    r.exec = base;
-    r.exec.vector_backend = false;
-    r.exec.superop_fusion = false;
-    r.exec.allow_fma = false;
-    r.exec.fast_transcendentals = false;
-    r.unfused = true;
+    r.unfused = t.unfused;
     rungs_.push_back(std::move(r));
   }
 }
@@ -315,385 +471,251 @@ Executor* Session::attempt_executor(std::size_t i) {
   return r.executor.get();
 }
 
-namespace {
-
-// Inverse of schedule_tier_name, for labeling a cache-served schedule's
-// diagnostics with the tier that originally found it.
-ScheduleTier tier_from_rung(const std::string& rung) {
-  if (rung == "full-dp") return ScheduleTier::kFullDp;
-  if (rung == "measured") return ScheduleTier::kFullDp;  // k-best full DP
-  if (rung == "bounded-dp") return ScheduleTier::kBoundedDp;
-  if (rung == "unfused") return ScheduleTier::kUnfused;
-  return ScheduleTier::kGreedy;  // "greedy" and anything unrecognized
+// Phase 1: the find-db probe.  A hit is still untrusted bytes: its
+// schedule text goes back through the hardened parser and grouping
+// validation against *this* pipeline before it counts as a hit.  A hit
+// streams a "cache" schedule attempt after the probe's cache event.
+Session::CacheProbe Session::probe(const Deadline* deadline) {
+  CacheProbe p;
+  if (opts_.cache_mode == findb::CacheMode::kOff) return p;
+  try {
+    p.db = std::make_unique<findb::FindDb>(opts_.findb_options());
+    p.key.pipeline_fp = fingerprint(*pl_);
+    p.key.machine_fp = fingerprint(opts_.machine);
+    p.key.options_fp = opts_.schedule_fingerprint();
+    findb::ProbeResult pr = p.db->probe(p.key, deadline);
+    observe::CacheEvent ev;
+    ev.action = "probe";
+    ev.outcome = findb::probe_outcome_name(pr.outcome);
+    ev.from_memory = pr.from_memory;
+    ev.detail = pr.detail;
+    ev.seconds = pr.seconds;
+    if (pr.outcome == findb::ProbeOutcome::kHit) {
+      Result<Grouping> g =
+          try_grouping_from_text(*pl_, pr.record.schedule_text);
+      if (g.ok()) {
+        p.hit = true;
+        p.grouping = std::move(g).value();
+        p.diag.tier = tier_from_rung(pr.record.rung);
+        p.diag.total_seconds = pr.seconds;
+        // The schedule text carries no costs; restore the record's
+        // per-group predictions so reports stay populated on warm starts.
+        if (pr.record.predicted.size() == p.grouping.groups.size()) {
+          double total = 0.0;
+          for (std::size_t i = 0; i < p.grouping.groups.size(); ++i) {
+            p.grouping.groups[i].cost = pr.record.predicted[i];
+            total += pr.record.predicted[i];
+          }
+          p.grouping.total_cost = total;
+        }
+      } else {
+        ev.outcome = "invalid-schedule";
+        ev.detail = g.error().what();
+        if (opts_.cache_mode == findb::CacheMode::kReadWrite)
+          (void)p.db->evict(p.key);
+      }
+    }
+    emit_cache_event(std::move(ev));
+    observe::Observer* obs = effective_observer();
+    if (p.hit && obs != nullptr) {
+      observe::ScheduleAttempt at;
+      at.tier = "cache";
+      at.succeeded = true;
+      at.seconds = pr.seconds;
+      std::ostringstream os;
+      os << p.grouping.groups.size() << " groups from cache (found by "
+         << pr.record.rung << ")";
+      at.detail = os.str();
+      obs->on_schedule_attempt(at);
+    }
+  } catch (...) {
+    // The cache must never break an open; an unexpected throw here
+    // behaves exactly like a miss.
+    observe::CacheEvent ev;
+    ev.action = "probe";
+    ev.outcome = "io-error";
+    ev.detail = "unexpected exception during cache probe";
+    emit_cache_event(std::move(ev));
+    p.hit = false;
+  }
+  return p;
 }
 
-}  // namespace
+// Phase 2: a fresh schedule search with opts_.scheduler.  Throws the
+// scheduler's coded errors (e.g. kSearchBudgetExhausted from kDp).
+Session::Found Session::search(const Deadline& deadline) {
+  const Pipeline& pl = *pl_;
+  const Deadline* odl = deadline.armed() ? &deadline : nullptr;
+  observe::Observer* obs = effective_observer();
+  const CostModel model(pl, opts_.machine);
+  Found f;
+  WallTimer timer;
+  switch (opts_.scheduler) {
+    case Scheduler::kAuto: {
+      AutoScheduleOptions ao = opts_;
+      // The probe already spent part of the open deadline; the search gets
+      // what remains (an effectively-expired remainder makes the ladder
+      // fall through to its cheap tiers, same as any late start).
+      if (odl != nullptr)
+        ao.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
+      ScheduleResult sr = auto_schedule(pl, model, ao, obs);
+      f.grouping = std::move(sr.grouping);
+      f.diag = std::move(sr.diagnostics);
+      break;
+    }
+    case Scheduler::kDp: {
+      DpOptions dopts;
+      dopts.max_states = opts_.max_states;
+      f.grouping = DpFusion(pl, model, dopts).run();
+      f.diag.tier = ScheduleTier::kFullDp;
+      break;
+    }
+    case Scheduler::kGreedy:
+      f.grouping = PolyMageGreedy(pl, model)
+                       .run(opts_.greedy_t1, opts_.greedy_t2,
+                            opts_.greedy_tolerance);
+      f.diag.tier = ScheduleTier::kGreedy;
+      break;
+    case Scheduler::kHalideAuto:
+      f.grouping = HalideAuto(pl, model).run();
+      f.diag.tier = ScheduleTier::kGreedy;  // nearest tier label
+      break;
+    case Scheduler::kUnfused:
+      f.grouping = singleton_grouping(pl, model);
+      f.diag.tier = ScheduleTier::kUnfused;
+      break;
+    case Scheduler::kMeasured: {
+      // k-best DP, then the measured shoot-out between the candidates.
+      DpOptions dopts;
+      dopts.max_states = opts_.max_states;
+      dopts.top_k = opts_.measured_top_k;
+      if (odl != nullptr)
+        dopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
+      std::vector<Grouping> cands = DpFusion(pl, model, dopts).run_top_k();
+      f.diag.tier = ScheduleTier::kFullDp;
+      const std::size_t win =
+          shoot_out(pl, opts_, cands, odl, obs, f.diag, f.measured_ms);
+      f.grouping = std::move(cands[win]);
+      break;
+    }
+  }
+  f.diag.total_seconds = timer.seconds();
+  // kAuto streams its ladder attempts itself; synthesize the one-shot
+  // record for the direct schedulers so traces always show how the
+  // schedule came to be.
+  if (obs != nullptr && opts_.scheduler != Scheduler::kAuto) {
+    observe::ScheduleAttempt at;
+    at.tier = scheduler_name(opts_.scheduler);
+    at.succeeded = true;
+    at.seconds = f.diag.total_seconds;
+    std::ostringstream os;
+    os << f.grouping.groups.size() << " groups, model cost "
+       << f.grouping.total_cost;
+    at.detail = os.str();
+    obs->on_schedule_attempt(at);
+  }
+  return f;
+}
+
+// Phase 3: persist a freshly found schedule so the next open warm-starts.
+// Store failures (lock contention, injected faults, a full disk) are coded
+// events, never open failures — the session is already good.
+void Session::store(const CacheProbe& probe, const Found& found,
+                    const Deadline* deadline) {
+  if (probe.db == nullptr || opts_.cache_mode != findb::CacheMode::kReadWrite)
+    return;
+  findb::CacheRecord rec;
+  rec.pipeline = pl_->name();
+  rec.git_sha = build_git_sha();
+  // kMeasured's own label survives the tier round-trip (tier_from_rung
+  // maps it back to kFullDp).
+  rec.rung = opts_.scheduler == Scheduler::kMeasured
+                 ? "measured"
+                 : schedule_tier_name(found.diag.tier);
+  rec.created_unix = static_cast<std::int64_t>(::time(nullptr));
+  rec.predicted.reserve(found.grouping.groups.size());
+  for (const GroupSchedule& gs : found.grouping.groups)
+    rec.predicted.push_back(gs.cost);
+  rec.measured_ms = found.measured_ms;
+  rec.schedule_text = grouping_to_text(*pl_, found.grouping);
+  WallTimer store_timer;
+  Result<bool> st = probe.db->store(probe.key, rec, deadline);
+  observe::CacheEvent ev;
+  ev.action = "store";
+  ev.outcome = st.ok() ? "stored" : "store-failed";
+  if (!st.ok())
+    ev.detail = std::string(error_code_name(st.code())) + ": " +
+                st.error().what();
+  ev.seconds = store_timer.seconds();
+  emit_cache_event(std::move(ev));
+}
+
+// Phase 4, the one exit of every open route: lowers `grouping` to the
+// primary executor and lays out the degradation rungs.  On failure `s`
+// keeps its options, sinks and cache events untouched, so the warm route
+// can still fall back to a fresh search with them.
+Result<Session> Session::assemble(Session& s, Grouping grouping,
+                                  Diagnostics diag) {
+  Result<bool> built = coded<bool>([&] {
+    if (s.warm_start_) FUSEDP_FAULT_POINT("session.warm_plan");
+    s.grouping_ = std::move(grouping);
+    s.diag_ = std::move(diag);
+    s.exec_ = std::make_unique<Executor>(*s.pl_, s.grouping_,
+                                         make_exec_options(s.opts_));
+    s.build_rungs();
+    return true;
+  });
+  if (!built.ok()) return built.error();
+  return Result<Session>(std::move(s));
+}
 
 Result<Session> Session::open(const Pipeline& pl, Options opts) {
-  if (Result<bool> pre = check_openable(pl, opts); !pre.ok())
+  if (Result<bool> pre = prepare_open(pl, opts); !pre.ok())
     return pre.error();
-  if (Result<bool> mf = apply_machine_file(opts); !mf.ok())
-    return mf.error();
-
-  std::unique_ptr<observe::TraceCollector> collector;
-  std::unique_ptr<observe::TeeObserver> tee;
-  if (opts.collect_trace)
-    collector = std::make_unique<observe::TraceCollector>(opts.trace_tiles);
-  if (collector != nullptr && opts.observer != nullptr)
-    tee = std::make_unique<observe::TeeObserver>(collector.get(),
-                                                 opts.observer);
-  observe::Observer* obs = tee != nullptr
-                               ? static_cast<observe::Observer*>(tee.get())
-                               : collector != nullptr
-                                     ? static_cast<observe::Observer*>(
-                                           collector.get())
-                                     : opts.observer;
+  Session s(pl, std::move(opts));
 
   // One clock for the whole open: the schedule-search deadline also bounds
   // the cache probe and its lock wait, so a wedged or slow cache directory
   // can never stall an open longer than a cache-off search would.
-  const Deadline open_deadline = opts.deadline_seconds > 0.0
-                                     ? Deadline::after(opts.deadline_seconds)
+  const Deadline open_deadline =
+      s.opts_.deadline_seconds > 0.0 ? Deadline::after(s.opts_.deadline_seconds)
                                      : Deadline();
   const Deadline* odl = open_deadline.armed() ? &open_deadline : nullptr;
 
-  std::vector<observe::CacheEvent> cache_events;
-  auto emit = [&](observe::CacheEvent ev) {
-    if (obs != nullptr) obs->on_cache_event(ev);
-    cache_events.push_back(std::move(ev));
-  };
-
-  // --- Cache probe (storage/findb): hit => open with zero search ---------
-  std::unique_ptr<findb::FindDb> db;
-  findb::CacheKey key;
-  Grouping cached_grouping;
-  std::string cached_rung;
-  bool cached_hit = false;
-  double probe_seconds = 0.0;
-  if (opts.cache_mode != findb::CacheMode::kOff) {
-    try {
-      db = std::make_unique<findb::FindDb>(opts.findb_options());
-      key.pipeline_fp = fingerprint(pl);
-      key.machine_fp = fingerprint(opts.machine);
-      key.options_fp = opts.schedule_fingerprint();
-      findb::ProbeResult pr = db->probe(key, odl);
-      observe::CacheEvent ev;
-      ev.action = "probe";
-      ev.outcome = findb::probe_outcome_name(pr.outcome);
-      ev.from_memory = pr.from_memory;
-      ev.detail = pr.detail;
-      ev.seconds = pr.seconds;
-      probe_seconds = pr.seconds;
-      if (pr.outcome == findb::ProbeOutcome::kHit) {
-        // A hit is still untrusted bytes: the schedule text goes back
-        // through the hardened parser and grouping validation against
-        // *this* pipeline before anything executes.
-        Result<Grouping> g =
-            try_grouping_from_text(pl, pr.record.schedule_text);
-        if (g.ok()) {
-          cached_hit = true;
-          cached_grouping = std::move(g).value();
-          cached_rung = pr.record.rung;
-          // The schedule text carries no costs; restore the record's
-          // per-group predictions so reports stay populated on warm starts.
-          if (pr.record.predicted.size() == cached_grouping.groups.size()) {
-            double total = 0.0;
-            for (std::size_t i = 0; i < cached_grouping.groups.size(); ++i) {
-              cached_grouping.groups[i].cost = pr.record.predicted[i];
-              total += pr.record.predicted[i];
-            }
-            cached_grouping.total_cost = total;
-          }
-        } else {
-          ev.outcome = "invalid-schedule";
-          ev.detail = g.error().what();
-          if (opts.cache_mode == findb::CacheMode::kReadWrite)
-            (void)db->evict(key);
-        }
-      }
-      emit(std::move(ev));
-    } catch (...) {
-      // The cache must never break an open; an unexpected throw here
-      // behaves exactly like a miss.
-      observe::CacheEvent ev;
-      ev.action = "probe";
-      ev.outcome = "io-error";
-      ev.detail = "unexpected exception during cache probe";
-      emit(std::move(ev));
-      cached_hit = false;
-    }
+  CacheProbe cached = s.probe(odl);
+  if (cached.hit) {
+    s.warm_start_ = true;
+    Result<Session> warm =
+        assemble(s, std::move(cached.grouping), std::move(cached.diag));
+    if (warm.ok()) return warm;
+    // The cached schedule parsed but failed plan construction (footprint
+    // checks, lowering): coded event, evict, fall through to a fresh
+    // search as if it had been a miss.
+    s.warm_start_ = false;
+    observe::CacheEvent ev;
+    ev.action = "probe";
+    ev.outcome = "invalid-schedule";
+    ev.detail =
+        std::string("plan rejected cached schedule: ") + warm.error().what();
+    s.emit_cache_event(std::move(ev));
+    if (s.opts_.cache_mode == findb::CacheMode::kReadWrite)
+      (void)cached.db->evict(cached.key);
   }
 
-  if (cached_hit) {
-    try {
-      observe::ScheduleAttempt at;
-      at.tier = "cache";
-      at.succeeded = true;
-      at.seconds = probe_seconds;
-      std::ostringstream os;
-      os << cached_grouping.groups.size() << " groups from cache (found by "
-         << cached_rung << ")";
-      at.detail = os.str();
-      if (obs != nullptr) obs->on_schedule_attempt(at);
-
-      Diagnostics diag;
-      diag.tier = tier_from_rung(cached_rung);
-      diag.total_seconds = probe_seconds;  // no search ran
-      // opts is *copied* here (not moved): if Executor construction below
-      // throws, the catch and the fresh-search fallback still need intact
-      // opts/collector/tee/obs.  Only after the plan is built is it safe to
-      // consume the open-scoped state.
-      Session s(pl, opts, std::move(cached_grouping), std::move(diag));
-      FUSEDP_FAULT_POINT("session.warm_plan");
-      s.exec_ =
-          std::make_unique<Executor>(pl, s.grouping_, make_exec_options(s.opts_));
-      s.build_rungs();
-      s.warm_start_ = true;
-      s.collector_ = std::move(collector);
-      s.tee_ = std::move(tee);
-      s.cache_events_ = std::move(cache_events);
-      return Result<Session>(std::move(s));
-    } catch (const std::exception& e) {
-      // The cached schedule parsed but failed plan construction (footprint
-      // checks, lowering): coded event, evict, fall through to a fresh
-      // search as if it had been a miss.  Nothing was moved out of the
-      // open-scoped state above, so the fallback sees it untouched.
-      observe::CacheEvent ev;
-      ev.action = "probe";
-      ev.outcome = "invalid-schedule";
-      ev.detail = std::string("plan rejected cached schedule: ") + e.what();
-      emit(std::move(ev));
-      if (db != nullptr && opts.cache_mode == findb::CacheMode::kReadWrite)
-        (void)db->evict(key);
-      cached_hit = false;
-    }
-  }
-
-  try {
-    CostModel model(pl, opts.machine);
-    Grouping grouping;
-    Diagnostics diag;
-    // kMeasured only: a rung label for the cache record that survives the
-    // tier round-trip (tier_from_rung maps it back to kFullDp), plus the
-    // winner's per-group measured wall times in grouping order.
-    std::string rung_override;
-    std::vector<double> measured_ms_by_group;
-    WallTimer sched_timer;
-    switch (opts.scheduler) {
-      case Scheduler::kAuto: {
-        AutoScheduleOptions ao = make_autoschedule_options(opts);
-        ao.observer = obs;
-        // The probe already spent part of the open deadline; the search
-        // gets what remains (an effectively-expired remainder makes the
-        // ladder fall through to its cheap tiers, same as any late start).
-        if (open_deadline.armed())
-          ao.deadline_seconds = std::max(1e-9,
-                                         open_deadline.remaining_seconds());
-        ScheduleResult sr = auto_schedule(pl, model, ao);
-        grouping = std::move(sr.grouping);
-        diag = std::move(sr.diagnostics);
-        break;
-      }
-      case Scheduler::kDp: {
-        DpOptions dopts;
-        dopts.max_states = opts.max_states;
-        grouping = DpFusion(pl, model, dopts).run();
-        diag.tier = ScheduleTier::kFullDp;
-        break;
-      }
-      case Scheduler::kGreedy:
-        grouping = PolyMageGreedy(pl, model)
-                       .run(opts.greedy_t1, opts.greedy_t2,
-                            opts.greedy_tolerance);
-        diag.tier = ScheduleTier::kGreedy;
-        break;
-      case Scheduler::kHalideAuto:
-        grouping = HalideAuto(pl, model).run();
-        diag.tier = ScheduleTier::kGreedy;  // nearest tier label
-        break;
-      case Scheduler::kUnfused:
-        grouping = singleton_grouping(pl, model);
-        diag.tier = ScheduleTier::kUnfused;
-        break;
-      case Scheduler::kMeasured: {
-        // k-best DP, then a short measured shoot-out between the candidates
-        // on a warmup frame.  Measurement runs in scratch workspaces and
-        // never touches session state, so the chosen schedule's outputs are
-        // bit-identical to what the model-ranked schedule would compute —
-        // only the *choice* among model-optimal-ish schedules changes.
-        DpOptions dopts;
-        dopts.max_states = opts.max_states;
-        dopts.top_k = opts.measured_top_k;
-        if (open_deadline.armed())
-          dopts.deadline_seconds =
-              std::max(1e-9, open_deadline.remaining_seconds());
-        std::vector<Grouping> cands = DpFusion(pl, model, dopts).run_top_k();
-        diag.tier = ScheduleTier::kFullDp;
-        rung_override = "measured";
-
-        std::vector<Buffer> synth;
-        const std::vector<Buffer>* warm = opts.warmup_inputs;
-        if (warm == nullptr) {
-          synth = synthesize_warmup_inputs(pl);
-          warm = &synth;
-        }
-        const ExecOptions eo = make_exec_options(opts);
-        int best = -1;
-        double best_ms = 0.0;
-        bool expired = false;
-        for (std::size_t ci = 0; ci < cands.size() && !expired; ++ci) {
-          observe::ScheduleAttempt at;
-          at.tier = "measured";
-          TierAttempt ta;
-          ta.tier = ScheduleTier::kFullDp;
-          WallTimer ct;
-          try {
-            // An already-expired deadline must not start another candidate;
-            // the executor's own checks sit at tile boundaries, so a tiny
-            // single-tile candidate could otherwise sneak through.
-            if (odl != nullptr && odl->expired())
-              throw Error("measured rung: open deadline expired",
-                          ErrorCode::kDeadlineExceeded);
-            Executor ex(pl, cands[ci], eo);
-            Workspace cand_ws;
-            double ms = 0.0;
-            for (int r = 0; r < opts.measured_repeats; ++r) {
-              WallTimer t;
-              ex.run(*warm, cand_ws, nullptr, odl);
-              const double s = t.seconds() * 1e3;
-              if (r == 0 || s < ms) ms = s;
-            }
-            if (best < 0 || ms < best_ms) {
-              best = static_cast<int>(ci);
-              best_ms = ms;
-            }
-            at.succeeded = true;
-            std::ostringstream os;
-            os << "candidate " << ci << ": " << cands[ci].groups.size()
-               << " groups, model cost " << cands[ci].total_cost
-               << ", best of " << opts.measured_repeats << " rep(s) " << ms
-               << " ms";
-            at.detail = os.str();
-          } catch (const Error& e) {
-            // An expired deadline ends the shoot-out (the clock stays
-            // expired); any other coded failure skips just this candidate —
-            // a candidate that cannot even run must not win.
-            at.succeeded = false;
-            at.code = error_code_name(e.code());
-            std::ostringstream os;
-            os << "candidate " << ci << ": " << e.what();
-            at.detail = os.str();
-            if (e.code() == ErrorCode::kDeadlineExceeded) expired = true;
-          }
-          at.seconds = ct.seconds();
-          if (obs != nullptr) obs->on_schedule_attempt(at);
-          ta.succeeded = at.succeeded;
-          if (!at.succeeded)
-            ta.code = expired ? ErrorCode::kDeadlineExceeded
-                              : ErrorCode::kInternal;
-          ta.detail = at.detail;
-          ta.seconds = at.seconds;
-          diag.attempts.push_back(std::move(ta));
-        }
-        // Winner by wall clock; with no completed measurement (deadline
-        // expired up front) fall back to the model-ranked #1, which is
-        // exactly what Scheduler::kDp would have returned.
-        const std::size_t win =
-            best >= 0 ? static_cast<std::size_t>(best) : std::size_t{0};
-
-        // Harvest the winner's per-group measured times from one traced
-        // run; they ride along in the find-db record (measured_ms) and feed
-        // `fusedp tune`.  Best-effort: a failure here never loses the
-        // already-chosen schedule.
-        if (best >= 0) {
-          try {
-            observe::TraceCollector tc(false);
-            Executor ex(pl, cands[win], eo);
-            Workspace cand_ws;
-            ex.run(*warm, cand_ws, &tc, odl);
-            const observe::RunTrace* t = tc.last();
-            if (t != nullptr) {
-              measured_ms_by_group.assign(cands[win].groups.size(), 0.0);
-              for (const observe::GroupRecord& g : t->groups)
-                for (std::size_t gi = 0; gi < cands[win].groups.size(); ++gi)
-                  if (cands[win].groups[gi].stages.bits() == g.stage_bits)
-                    measured_ms_by_group[gi] = g.seconds * 1e3;
-            }
-          } catch (...) {
-            measured_ms_by_group.clear();
-          }
-        }
-        grouping = std::move(cands[win]);
-        break;
-      }
-    }
-    diag.total_seconds = sched_timer.seconds();
-    // kAuto streams its ladder attempts itself; synthesize the one-shot
-    // record for the direct schedulers so traces always show how the
-    // schedule came to be.
-    if (obs != nullptr && opts.scheduler != Scheduler::kAuto) {
-      observe::ScheduleAttempt at;
-      at.tier = scheduler_name(opts.scheduler);
-      at.succeeded = true;
-      at.seconds = diag.total_seconds;
-      std::ostringstream os;
-      os << grouping.groups.size() << " groups, model cost "
-         << grouping.total_cost;
-      at.detail = os.str();
-      obs->on_schedule_attempt(at);
-    }
-
-    // Persist the freshly found schedule so the next open warm-starts.
-    // Store failures (lock contention, injected faults, a full disk) are
-    // coded events, never open failures — the session is already good.
-    if (db != nullptr && opts.cache_mode == findb::CacheMode::kReadWrite) {
-      findb::CacheRecord rec;
-      rec.pipeline = pl.name();
-      rec.git_sha = build_git_sha();
-      rec.rung = rung_override.empty() ? schedule_tier_name(diag.tier)
-                                       : rung_override;
-      rec.created_unix = static_cast<std::int64_t>(::time(nullptr));
-      rec.predicted.reserve(grouping.groups.size());
-      for (const GroupSchedule& gs : grouping.groups)
-        rec.predicted.push_back(gs.cost);
-      rec.measured_ms = measured_ms_by_group;  // kMeasured winners only
-      rec.schedule_text = grouping_to_text(pl, grouping);
-      WallTimer store_timer;
-      Result<bool> st = db->store(key, rec, odl);
-      observe::CacheEvent ev;
-      ev.action = "store";
-      ev.outcome = st.ok() ? "stored" : "store-failed";
-      if (!st.ok())
-        ev.detail = std::string(error_code_name(st.code())) + ": " +
-                    st.error().what();
-      ev.seconds = store_timer.seconds();
-      emit(std::move(ev));
-    }
-
-    Session s(pl, std::move(opts), std::move(grouping), std::move(diag));
-    s.collector_ = std::move(collector);
-    s.tee_ = std::move(tee);
-    s.exec_ =
-        std::make_unique<Executor>(pl, s.grouping_, make_exec_options(s.opts_));
-    s.build_rungs();
-    s.cache_events_ = std::move(cache_events);
-    return Result<Session>(std::move(s));
-  } catch (const Error& e) {
-    return Result<Session>(e);
-  } catch (const std::bad_alloc&) {
-    return Result<Session>::failure(ErrorCode::kAllocationFailed,
-                                    "Session::open: out of memory");
-  } catch (const std::exception& e) {
-    return Result<Session>::failure(ErrorCode::kInternal, e.what());
-  }
+  Result<Found> found = coded<Found>([&] {
+    Found f = s.search(open_deadline);
+    s.store(cached, f, odl);
+    return f;
+  });
+  if (!found.ok()) return found.error();
+  Found f = std::move(found).value();
+  return assemble(s, std::move(f.grouping), std::move(f.diag));
 }
 
 Result<Session> Session::open(const Pipeline& pl, const Grouping& grouping,
                               Options opts) {
-  if (Result<bool> pre = check_openable(pl, opts); !pre.ok())
+  if (Result<bool> pre = prepare_open(pl, opts); !pre.ok())
     return pre.error();
-  if (Result<bool> mf = apply_machine_file(opts); !mf.ok())
-    return mf.error();
 
   std::string why;
   if (!validate_grouping(pl, grouping, &why))
@@ -701,61 +723,20 @@ Result<Session> Session::open(const Pipeline& pl, const Grouping& grouping,
         ErrorCode::kInvalidSchedule,
         "Session::open: grouping does not validate: " + why);
 
-  std::unique_ptr<observe::TraceCollector> collector;
-  std::unique_ptr<observe::TeeObserver> tee;
-  if (opts.collect_trace)
-    collector = std::make_unique<observe::TraceCollector>(opts.trace_tiles);
-  if (collector != nullptr && opts.observer != nullptr)
-    tee = std::make_unique<observe::TeeObserver>(collector.get(),
-                                                 opts.observer);
-
-  try {
-    Grouping g = grouping;
-    // Fill missing per-group predicted costs so the report's predicted
-    // column is populated — but never touch tile sizes: a caller-provided
-    // grouping executes exactly as given (complete_grouping would overwrite
-    // deliberately-absent tile sizes and change the run).
-    CostModel model(pl, opts.machine);
-    double total = 0.0;
-    for (GroupSchedule& gs : g.groups) {
-      if (gs.cost == 0.0) {
-        try {
-          GroupCost gc = model.cost(gs.stages);
-          if (gc.feasible()) gs.cost = gc.cost;
-        } catch (const Error&) {
-          // Model cannot score this group (e.g. a reduction); leave 0.
-        }
-      }
-      total += gs.cost;
-    }
-    if (g.total_cost == 0.0) g.total_cost = total;
-
-    Session s(pl, std::move(opts), std::move(g), Diagnostics{});
-    s.collector_ = std::move(collector);
-    s.tee_ = std::move(tee);
-    s.exec_ =
-        std::make_unique<Executor>(pl, s.grouping_, make_exec_options(s.opts_));
-    s.build_rungs();
-    // A caller-provided grouping overrides the cache: record that the cache
-    // was configured but deliberately not consulted.
-    if (s.opts_.cache_mode != findb::CacheMode::kOff) {
-      observe::CacheEvent ev;
-      ev.action = "probe";
-      ev.outcome = "bypass";
-      ev.detail = "caller-provided grouping";
-      observe::Observer* sobs = s.effective_observer();
-      if (sobs != nullptr) sobs->on_cache_event(ev);
-      s.cache_events_.push_back(std::move(ev));
-    }
-    return Result<Session>(std::move(s));
-  } catch (const Error& e) {
-    return Result<Session>(e);
-  } catch (const std::bad_alloc&) {
-    return Result<Session>::failure(ErrorCode::kAllocationFailed,
-                                    "Session::open: out of memory");
-  } catch (const std::exception& e) {
-    return Result<Session>::failure(ErrorCode::kInternal, e.what());
+  Session s(pl, std::move(opts));
+  // A caller-provided grouping overrides the cache: record that the cache
+  // was configured but deliberately not consulted.
+  if (s.opts_.cache_mode != findb::CacheMode::kOff) {
+    observe::CacheEvent ev;
+    ev.action = "probe";
+    ev.outcome = "bypass";
+    ev.detail = "caller-provided grouping";
+    s.emit_cache_event(std::move(ev));
   }
+  Result<Grouping> g = coded<Grouping>(
+      [&] { return with_predicted_costs(pl, s.opts_.machine, grouping); });
+  if (!g.ok()) return g.error();
+  return assemble(s, std::move(g).value(), Diagnostics{});
 }
 
 Result<double> Session::execute(const std::vector<Buffer>& inputs) {

@@ -54,12 +54,19 @@ enum class Scheduler : std::uint8_t {
 const char* scheduler_name(Scheduler s);
 
 // Everything that configures a session, in one struct: the execution knobs
-// (inherited from ExecOptions, runtime/executor.hpp), schedule-search knobs
-// (previously AutoScheduleOptions) and observability.  Session::open
-// validates the whole struct up front and rejects inconsistent combinations
-// (see validate_options) with coded kInvalidArgument errors instead of
-// silently misbehaving.
-struct Options : ExecOptions {
+// (inherited from ExecOptions, runtime/executor.hpp), the schedule-search
+// knobs (inherited from AutoScheduleOptions, fusion/autoschedule.hpp) and
+// observability.  Session::open validates the whole struct up front and
+// rejects inconsistent combinations (see validate_options) with coded
+// kInvalidArgument errors instead of silently misbehaving.
+//
+// Of the inherited search knobs, deadline_seconds < 0 is rejected; 0 means
+// "no deadline".  The kAuto ladder and the kMeasured rung can bound their
+// own search, so with any other direct scheduler (kDp/kGreedy/...) a
+// nonzero deadline is rejected unless the cache is on — and then it bounds
+// only the cache probe and lock wait: on a cache miss the direct scheduler
+// still runs unbounded, so the deadline is best-effort on that path.
+struct Options : ExecOptions, AutoScheduleOptions {
   // --- Scheduling ---
   Scheduler scheduler = Scheduler::kAuto;
   MachineModel machine = MachineModel::host();
@@ -68,20 +75,6 @@ struct Options : ExecOptions {
   // a load failure is a coded open error.  The loaded weights feed the
   // machine fingerprint, so cache keys carry fitted-model provenance.
   std::string machine_file;
-  // kAuto ladder budgets (see AutoScheduleOptions).  deadline_seconds < 0
-  // is rejected; 0 means "no deadline".  The kAuto ladder and the
-  // kMeasured rung can bound their own search, so with any other direct
-  // scheduler (kDp/kGreedy/...) a nonzero deadline is rejected unless the
-  // cache is on — and then it bounds only the cache probe and lock wait:
-  // on a cache miss the direct scheduler still runs unbounded, so the
-  // deadline is best-effort on that path.
-  double deadline_seconds = 0.0;
-  std::uint64_t max_states = 50'000'000;
-  int bounded_initial_limit = 8;
-  // Greedy tier / Scheduler::kGreedy configuration.
-  std::int64_t greedy_t1 = 64;
-  std::int64_t greedy_t2 = 128;
-  double greedy_tolerance = 0.4;
 
   // --- Measured re-ranking (Scheduler::kMeasured) ---
   // How many k-best DP candidates to benchmark (validated to [1, 16]; 1
@@ -165,9 +158,6 @@ struct Options : ExecOptions {
 
 // The execution slice of an Options struct: its ExecOptions base.
 inline ExecOptions make_exec_options(const Options& opts) { return opts; }
-// The schedule-search slice as the kAuto ladder's option struct
-// (fusion/autoschedule.hpp; the observer field is filled by Session::open).
-AutoScheduleOptions make_autoschedule_options(const Options& opts);
 
 // Validates `opts` as a whole; returns true or a coded kInvalidArgument
 // error naming EVERY offending field/combination (one message, each
@@ -217,8 +207,10 @@ class Session {
   // distinct Workspaces (api/serve.hpp does), bypassing the session's
   // workspace, deadline and degradation ladder.
   const Executor& executor() const { return *exec_; }
-  // Schedule-search post-mortem; empty attempts unless Scheduler::kAuto.
-  // A warm start has empty attempts and zero total_states: no search ran.
+  // Schedule-search post-mortem.  attempts holds the kAuto ladder's tiers
+  // or one attempt per kMeasured candidate, and is empty for the other
+  // schedulers.  A warm start has empty attempts and zero total_states: no
+  // search ran.
   const Diagnostics& diagnostics() const { return diag_; }
 
   // True when the schedule came from the persistent cache (no search ran).
@@ -245,8 +237,21 @@ class Session {
   const observe::RunReport& last_report() const { return report_; }
 
  private:
-  Session(const Pipeline& pl, Options opts, Grouping grouping,
-          Diagnostics diag);
+  // The open phases (session.cpp).  Every route constructs its session
+  // first — the constructor wires the observability sinks, so probe and
+  // search events stream to them as they happen — then runs probe ->
+  // search -> store as it needs and ends in assemble().
+  struct CacheProbe;
+  struct Found;
+  Session(const Pipeline& pl, Options opts);
+  CacheProbe probe(const Deadline* deadline);
+  Found search(const Deadline& deadline);
+  void store(const CacheProbe& probe, const Found& found,
+             const Deadline* deadline);
+  static Result<Session> assemble(Session& s, Grouping grouping,
+                                  Diagnostics diag);
+  // Streams `ev` to the observer and records it in cache_events_.
+  void emit_cache_event(observe::CacheEvent ev);
 
   // One fallback rung of the degradation ladder (the primary attempt runs
   // on exec_).  Executors are built lazily on the first failure that

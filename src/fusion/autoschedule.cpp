@@ -72,7 +72,8 @@ std::string Diagnostics::summary() const {
 }
 
 ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
-                             const AutoScheduleOptions& opts) {
+                             const AutoScheduleOptions& opts,
+                             observe::Observer* observer) {
   WallTimer ladder_timer;
   ScheduleResult result;
   Diagnostics& diag = result.diagnostics;
@@ -101,7 +102,7 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     if (deadline_gated && out_of_time()) {
       a.code = ErrorCode::kDeadlineExceeded;
       a.detail = "skipped: ladder deadline already exhausted";
-      emit_attempt(opts.observer, a);
+      emit_attempt(observer, a);
       diag.attempts.push_back(std::move(a));
       return false;
     }
@@ -120,7 +121,7 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     diag.total_states += a.states;
     const bool ok = a.succeeded;
     if (ok) diag.tier = tier;
-    emit_attempt(opts.observer, a);
+    emit_attempt(observer, a);
     diag.attempts.push_back(std::move(a));
     return ok;
   };
@@ -179,7 +180,7 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     a.succeeded = true;
     a.seconds = t.seconds();
     diag.tier = ScheduleTier::kUnfused;
-    emit_attempt(opts.observer, a);
+    emit_attempt(observer, a);
     diag.attempts.push_back(std::move(a));
   }
 
@@ -191,9 +192,10 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
 }
 
 ScheduleResult auto_schedule(const Pipeline& pl, const MachineModel& machine,
-                             const AutoScheduleOptions& opts) {
+                             const AutoScheduleOptions& opts,
+                             observe::Observer* observer) {
   const CostModel model(pl, machine);
-  return auto_schedule(pl, model, opts);
+  return auto_schedule(pl, model, opts, observer);
 }
 
 }  // namespace fusedp

@@ -44,10 +44,6 @@ struct AutoScheduleOptions {
   std::int64_t greedy_t1 = 64;
   std::int64_t greedy_t2 = 128;
   double greedy_tolerance = 0.4;
-  // Optional observability sink: every ladder attempt (successful or not)
-  // streams to it as an observe::ScheduleAttempt the moment it resolves, in
-  // addition to being recorded in Diagnostics.
-  observe::Observer* observer = nullptr;
 };
 
 // One search attempt (successful or not) for post-mortems and logging.
@@ -79,9 +75,14 @@ struct ScheduleResult {
 // Never throws for budget/deadline/allocation exhaustion — those demote to
 // the next tier.  Errors that no tier can fix (invalid pipeline) still
 // propagate.  The returned grouping always passes validate_grouping().
+// A non-null `observer` receives every ladder attempt (successful or not)
+// as an observe::ScheduleAttempt the moment it resolves, in addition to its
+// record in Diagnostics.
 ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
-                             const AutoScheduleOptions& opts = {});
+                             const AutoScheduleOptions& opts = {},
+                             observe::Observer* observer = nullptr);
 ScheduleResult auto_schedule(const Pipeline& pl, const MachineModel& machine,
-                             const AutoScheduleOptions& opts = {});
+                             const AutoScheduleOptions& opts = {},
+                             observe::Observer* observer = nullptr);
 
 }  // namespace fusedp

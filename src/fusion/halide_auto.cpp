@@ -4,9 +4,12 @@
 
 namespace fusedp {
 
-HalideAuto::HalideAuto(const Pipeline& pl, const CostModel& model,
-                       HalideAutoOptions opts)
-    : pl_(&pl), model_(&model), opts_(std::move(opts)) {}
+constexpr double kLoadCost = 40.0;
+// Power-of-two tile extents tried per tiled dimension.
+constexpr std::int64_t kTileCandidates[] = {8, 16, 32, 64, 128, 256};
+
+HalideAuto::HalideAuto(const Pipeline& pl, const CostModel& model)
+    : pl_(&pl), model_(&model) {}
 
 double HalideAuto::ops_per_point(int stage) const {
   const Stage& s = pl_->stage(stage);
@@ -46,7 +49,9 @@ HalideAuto::Scored HalideAuto::score_group(NodeSet group) const {
     return best;
 
   const int n = align.num_classes;
-  const std::int64_t cache_floats = opts_.cache_bytes / 4;
+  const MachineModel& machine = model_->machine();
+  const std::int64_t cache_floats = machine.l2_floats();
+  const std::int64_t vector_width = 2 * machine.vector_width_floats;
 
   // Candidate tile configurations: powers of two on the two innermost
   // reference dimensions, full extent elsewhere (plus the untiled config).
@@ -68,11 +73,11 @@ HalideAuto::Scored HalideAuto::score_group(NodeSet group) const {
     configs.push_back(std::move(ts));
   };
   if (n == 1) {
-    for (std::int64_t t : opts_.tile_candidates) push_config(t, t);
+    for (std::int64_t t : kTileCandidates) push_config(t, t);
     push_config(1 << 30, 1 << 30);  // untiled
   } else {
-    for (std::int64_t t1 : opts_.tile_candidates)
-      for (std::int64_t t2 : opts_.tile_candidates) push_config(t1, t2);
+    for (std::int64_t t1 : kTileCandidates)
+      for (std::int64_t t2 : kTileCandidates) push_config(t1, t2);
     push_config(1 << 30, 1 << 30);
   }
 
@@ -101,7 +106,7 @@ HalideAuto::Scored HalideAuto::score_group(NodeSet group) const {
       mem_loads += static_cast<double>(regions.computed_volume);
     }
     mem_loads += static_cast<double>(regions.liveout_volume);  // stores
-    const double per_tile = arith + opts_.load_cost * mem_loads;
+    const double per_tile = arith + kLoadCost * mem_loads;
     const double total = per_tile * static_cast<double>(n_tiles);
     if (total < fallback.cost) {
       fallback.cost = total;
@@ -110,10 +115,9 @@ HalideAuto::Scored HalideAuto::score_group(NodeSet group) const {
     // Hard constraints: enough tiles to parallelize, innermost wide enough
     // to vectorize (waived when the dimension itself is too small).
     const bool vec_ok =
-        ts[static_cast<std::size_t>(n - 1)] >= opts_.vector_width ||
-        align.class_extent[static_cast<std::size_t>(n - 1)] <
-            opts_.vector_width;
-    const bool par_ok = n_tiles >= opts_.parallelism_threshold;
+        ts[static_cast<std::size_t>(n - 1)] >= vector_width ||
+        align.class_extent[static_cast<std::size_t>(n - 1)] < vector_width;
+    const bool par_ok = n_tiles >= machine.cores;
     if (vec_ok && par_ok && total < best.cost) {
       best.cost = total;
       best.tiles = ts;

@@ -8,26 +8,19 @@
 // profitable.  Group cost = arithmetic cost + LOAD_COST x memory loads,
 // with (i) at least PARALLELISM_THRESHOLD tiles, (ii) a footprint penalty
 // past CACHE_SIZE, (iii) at least VECTOR_WIDTH points along the innermost
-// dimension (paper's parameter values: VECTOR_WIDTH=16, threshold=cores,
-// CACHE_SIZE=per-core L2, LOAD_COST=40).
+// dimension.  The paper (Section 6.2) defines the first three from the
+// machine, so they come from the cost model's MachineModel:
+// PARALLELISM_THRESHOLD = cores, CACHE_SIZE = per-core L2, VECTOR_WIDTH =
+// twice the native f32 width (16 on AVX2); LOAD_COST = 40.
 #pragma once
 
 #include "fusion/grouping.hpp"
 
 namespace fusedp {
 
-struct HalideAutoOptions {
-  std::int64_t cache_bytes = 256 * 1024;
-  int parallelism_threshold = 16;
-  int vector_width = 16;
-  double load_cost = 40.0;
-  std::vector<std::int64_t> tile_candidates = {8, 16, 32, 64, 128, 256};
-};
-
 class HalideAuto {
  public:
-  HalideAuto(const Pipeline& pl, const CostModel& model,
-             HalideAutoOptions opts = {});
+  HalideAuto(const Pipeline& pl, const CostModel& model);
 
   Grouping run() const;
 
@@ -43,7 +36,6 @@ class HalideAuto {
 
   const Pipeline* pl_;
   const CostModel* model_;
-  HalideAutoOptions opts_;
 };
 
 }  // namespace fusedp

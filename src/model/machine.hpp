@@ -16,8 +16,9 @@ namespace fusedp {
 // without a git SHA to compare.  Bump it whenever the same machine can
 // pick a different schedule.  Revision 2: the DP rejects groups whose
 // rounded-out tile runs alone or overflows L2
-// (GroupCost::keeps_tile_guarantees).
-inline constexpr std::int32_t kCostModelRevision = 2;
+// (GroupCost::keeps_tile_guarantees).  Revision 3: H-auto takes its cache
+// size, parallelism threshold and vector width from the machine.
+inline constexpr std::int32_t kCostModelRevision = 3;
 
 // Weights of the four cost terms (paper Section 4.1, Table 1).
 //

@@ -71,9 +71,7 @@ TEST(HalideAutoTest, ValidOnAllBenchmarks) {
   for (const auto& info : benchmark_list()) {
     const PipelineSpec spec = make_benchmark(info.key, 16);
     const CostModel model(*spec.pipeline, MachineModel::xeon_haswell());
-    HalideAutoOptions opts;
-    opts.parallelism_threshold = 16;
-    const HalideAuto h(*spec.pipeline, model, opts);
+    const HalideAuto h(*spec.pipeline, model);
     const Grouping g = h.run();
     std::string why;
     EXPECT_TRUE(validate_grouping(*spec.pipeline, g, &why))
@@ -104,6 +102,25 @@ TEST(HalideAutoTest, FusesProducerConsumerOnBlur) {
   const HalideAuto h(*spec.pipeline, model);
   const Grouping g = h.run();
   EXPECT_EQ(g.groups.size(), 1u) << "load-cost model must reward fusing blur";
+}
+
+TEST(HalideAutoTest, ParametersComeFromTheMachine) {
+  // Paper Section 6.2: CACHE_SIZE is the machine's L2 and
+  // PARALLELISM_THRESHOLD its core count.  Opteron's 1 MB L2 fuses pyramid
+  // further than a fixed 256 KB would (7 groups), and 4 Xeon cores need
+  // fewer tiles per group than a fixed 16 (15 groups).
+  {
+    const PipelineSpec spec = make_benchmark("pyramid", 2);
+    const CostModel model(*spec.pipeline, MachineModel::amd_opteron());
+    EXPECT_EQ(HalideAuto(*spec.pipeline, model).run().groups.size(), 5u);
+  }
+  {
+    const PipelineSpec spec = make_benchmark("interpolate", 4);
+    MachineModel four_cores = MachineModel::xeon_haswell();
+    four_cores.cores = 4;
+    const CostModel model(*spec.pipeline, four_cores);
+    EXPECT_EQ(HalideAuto(*spec.pipeline, model).run().groups.size(), 16u);
+  }
 }
 
 TEST(HalideAutoTest, TilesArePowersOfTwoOnly) {

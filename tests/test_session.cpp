@@ -2,6 +2,9 @@
 // run_pipeline path, consolidated Options validation (coded errors), and
 // the bit-identity contract with and without an observer attached.
 #include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <filesystem>
 
 #include "api/session.hpp"
 #include "fusion/incremental.hpp"
@@ -382,6 +385,129 @@ TEST(SessionObserverTest, RepeatedExecuteKeepsTracing) {
   EXPECT_GT(s.trace()->seconds, 0.0);
 }
 
+// --- open routes x observer sinks --------------------------------------------
+
+// Every open route (a warm cache hit, a fresh search, a caller-given
+// grouping) must wire the same sinks the same way: the collector's trace,
+// the user observer's schedule and run callbacks, and the cache events.
+enum class OpenRoute { kWarmHit, kFreshSearch, kCallerGrouping };
+enum class Sinks { kCollector, kUser, kBoth };
+
+struct RecordingObserver : observe::Observer {
+  std::vector<std::string> schedule;
+  std::vector<std::string> cache;
+  int runs_begun = 0;
+  int runs_ended = 0;
+  int run_attempts = 0;
+  void on_schedule_attempt(const observe::ScheduleAttempt& a) override {
+    schedule.push_back(a.tier);
+  }
+  void on_cache_event(const observe::CacheEvent& e) override {
+    cache.push_back(e.action + ":" + e.outcome);
+  }
+  void on_run_begin(const observe::RunMeta&) override { ++runs_begun; }
+  void on_run_end(const observe::RunRecord&) override { ++runs_ended; }
+  void on_run_attempt(const observe::RunAttempt&) override { ++run_attempts; }
+};
+
+std::vector<std::string> cache_labels(
+    const std::vector<observe::CacheEvent>& events) {
+  std::vector<std::string> out;
+  for (const observe::CacheEvent& e : events)
+    out.push_back(e.action + ":" + e.outcome);
+  return out;
+}
+
+class SessionOpenRouteTest
+    : public ::testing::TestWithParam<std::tuple<OpenRoute, Sinks>> {};
+
+TEST_P(SessionOpenRouteTest, WiresEverySinkTheSameWay) {
+  const auto [route, sinks] = GetParam();
+  char dir[] = "/tmp/fusedp_open_route_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  findb::FindDb::clear_memory_tier();
+  const PipelineSpec spec = make_blur(64, 64);
+  const Pipeline& pl = *spec.pipeline;
+
+  Options o;
+  o.scheduler = Scheduler::kGreedy;
+  o.cache_mode = findb::CacheMode::kReadWrite;
+  o.cache_dir = dir;
+  if (route == OpenRoute::kWarmHit)
+    ASSERT_TRUE(Session::open(pl, o).ok());  // stores the record to hit
+
+  RecordingObserver user;
+  o.collect_trace = sinks != Sinks::kUser;
+  if (sinks != Sinks::kCollector) o.observer = &user;
+
+  std::vector<std::string> schedule;
+  std::vector<std::string> cache;
+  Result<Session> opened = Result<Session>::failure(ErrorCode::kInternal, "");
+  switch (route) {
+    case OpenRoute::kWarmHit:
+      schedule = {"cache"};
+      cache = {"probe:hit"};
+      opened = Session::open(pl, o);
+      break;
+    case OpenRoute::kFreshSearch:
+      schedule = {"greedy"};
+      cache = {"probe:miss", "store:stored"};
+      opened = Session::open(pl, o);
+      break;
+    case OpenRoute::kCallerGrouping:
+      cache = {"probe:bypass"};
+      opened = Session::open(
+          pl, singleton_grouping(pl, CostModel(pl, o.machine)), o);
+      break;
+  }
+  ASSERT_TRUE(opened.ok()) << opened.error().what();
+  Session s = std::move(opened).value();
+  EXPECT_EQ(s.warm_start(), route == OpenRoute::kWarmHit);
+  EXPECT_EQ(cache_labels(s.cache_events()), cache);
+  ASSERT_TRUE(s.run(spec.make_inputs()).ok());
+
+  if (sinks == Sinks::kUser) {
+    EXPECT_EQ(s.trace(), nullptr);
+  } else {
+    ASSERT_NE(s.trace(), nullptr);
+    EXPECT_TRUE(s.trace()->complete);
+    std::vector<std::string> traced;
+    for (const observe::ScheduleAttempt& a : s.trace()->schedule)
+      traced.push_back(a.tier);
+    EXPECT_EQ(traced, schedule);
+    EXPECT_EQ(cache_labels(s.trace()->cache), cache);
+  }
+  if (sinks == Sinks::kCollector) {
+    EXPECT_TRUE(user.schedule.empty());
+    EXPECT_EQ(user.runs_begun, 0);
+  } else {
+    EXPECT_EQ(user.schedule, schedule);
+    EXPECT_EQ(user.cache, cache);
+    EXPECT_EQ(user.runs_begun, 1);
+    EXPECT_EQ(user.runs_ended, 1);
+    EXPECT_EQ(user.run_attempts, 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+std::string route_sinks_name(
+    const ::testing::TestParamInfo<std::tuple<OpenRoute, Sinks>>& info) {
+  static const char* const kRoutes[] = {"WarmHit", "FreshSearch",
+                                        "CallerGrouping"};
+  static const char* const kSinks[] = {"Collector", "User", "Both"};
+  return std::string(kRoutes[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kSinks[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RoutesBySinks, SessionOpenRouteTest,
+    ::testing::Combine(::testing::Values(OpenRoute::kWarmHit,
+                                         OpenRoute::kFreshSearch,
+                                         OpenRoute::kCallerGrouping),
+                       ::testing::Values(Sinks::kCollector, Sinks::kUser,
+                                         Sinks::kBoth)),
+    route_sinks_name);
+
 // --- option projections ------------------------------------------------------
 
 TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
@@ -405,7 +531,7 @@ TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
   o.deadline_seconds = 1.5;
   o.max_states = 1234;
   o.bounded_initial_limit = 4;
-  const AutoScheduleOptions ao = make_autoschedule_options(o);
+  const AutoScheduleOptions ao = o;
   EXPECT_EQ(ao.deadline_seconds, 1.5);
   EXPECT_EQ(ao.max_states, 1234u);
   EXPECT_EQ(ao.bounded_initial_limit, 4);

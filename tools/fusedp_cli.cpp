@@ -4,7 +4,8 @@
 //
 //   fusedp list
 //   fusedp show <benchmark> [--scale=N]
-//   fusedp schedule <benchmark> [--scheduler=dp|auto|greedy|hauto|manual]
+//   fusedp schedule <benchmark> [--scheduler=dp|auto|greedy|hauto|manual|
+//                   unfused]
 //                   [--machine=xeon|opteron|host] [--scale=N] [--save=FILE]
 //   fusedp dot <benchmark> [--scheduler=...] [--scale=N]      (graphviz)
 //   fusedp run <benchmark> [--scheduler=...] [--threads=T] [--runs=R]
@@ -125,16 +126,14 @@ Grouping make_schedule(const Cli& cli, const PipelineSpec& spec,
                       cli.get_double("tolerance", 0.4));
   }
   if (which == "hauto") {
-    HalideAutoOptions opts;
-    opts.cache_bytes = model.machine().l2_bytes;
-    opts.parallelism_threshold = model.machine().cores;
-    const HalideAuto h(*spec.pipeline, model, opts);
+    const HalideAuto h(*spec.pipeline, model);
     return h.run();
   }
   if (which == "manual") return spec.manual_grouping(model);
+  if (which == "unfused") return singleton_grouping(*spec.pipeline, model);
   FUSEDP_CHECK_CODE(false, ErrorCode::kInvalidArgument,
                     "unknown scheduler: " + which +
-                        " (want dp|auto|greedy|hauto|manual)");
+                        " (want dp|auto|greedy|hauto|manual|unfused)");
   return {};
 }
 
