@@ -92,11 +92,12 @@ bool PipelineService::try_admit() {
   return true;
 }
 
+// Notifies under the lock: ~PipelineService waits on drain_cv_ and then
+// destroys it, so an unlocked notify could still be inside the broadcast
+// when the destructor, woken by the count alone, tears the service down.
 void PipelineService::release_admission() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  --in_flight_;
   drain_cv_.notify_all();
 }
 

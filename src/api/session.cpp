@@ -8,6 +8,7 @@
 #include "fusion/dp.hpp"
 #include "fusion/grouping.hpp"
 #include "fusion/halide_auto.hpp"
+#include "fusion/incremental.hpp"
 #include "fusion/polymage_greedy.hpp"
 #include "fusion/serialize.hpp"
 #include "model/tune.hpp"
@@ -18,15 +19,26 @@
 namespace fusedp {
 
 const char* scheduler_name(Scheduler s) {
-  switch (s) {
-    case Scheduler::kAuto: return "auto";
-    case Scheduler::kDp: return "dp";
-    case Scheduler::kGreedy: return "greedy";
-    case Scheduler::kHalideAuto: return "halide-auto";
-    case Scheduler::kUnfused: return "unfused";
-    case Scheduler::kMeasured: return "measured";
-  }
+  for (const SchedulerSpelling& e : kSchedulers)
+    if (e.scheduler == s) return e.spelling;
   return "?";
+}
+
+std::string scheduler_spellings() {
+  std::string all;
+  for (const SchedulerSpelling& e : kSchedulers) {
+    if (!all.empty()) all += '|';
+    all += e.spelling;
+  }
+  return all;
+}
+
+Result<Scheduler> parse_scheduler(const std::string& name) {
+  for (const SchedulerSpelling& e : kSchedulers)
+    if (name == e.spelling) return e.scheduler;
+  return Result<Scheduler>::failure(
+      ErrorCode::kInvalidArgument,
+      "unknown scheduler '" + name + "' (want " + scheduler_spellings() + ")");
 }
 
 std::uint64_t Options::schedule_fingerprint() const {
@@ -110,6 +122,7 @@ Result<bool> validate_options(const Options& opts) {
   }
   const bool uses_dp = opts.scheduler == Scheduler::kAuto ||
                        opts.scheduler == Scheduler::kDp ||
+                       opts.scheduler == Scheduler::kIncremental ||
                        opts.scheduler == Scheduler::kMeasured;
   if (uses_dp && opts.max_states == 0)
     flag(
@@ -141,12 +154,11 @@ Result<bool> validate_options(const Options& opts) {
        << opts.measured_repeats << ")";
     flag(os.str());
   }
-  if (opts.deadline_seconds > 0.0 && opts.scheduler != Scheduler::kAuto &&
-      opts.scheduler != Scheduler::kMeasured &&
+  if (opts.deadline_seconds > 0.0 && !uses_dp &&
       opts.cache_mode == findb::CacheMode::kOff) {
     std::ostringstream os;
-    os << "Options::deadline_seconds only bounds the Scheduler::kAuto "
-          "ladder and the Scheduler::kMeasured rung; with scheduler = "
+    os << "Options::deadline_seconds only bounds the DP searches (auto, dp, "
+          "incremental, measured); with scheduler = "
        << scheduler_name(opts.scheduler) << " a deadline cannot be honored";
     flag(os.str());
   }
@@ -566,8 +578,19 @@ Session::Found Session::search(const Deadline& deadline) {
     case Scheduler::kDp: {
       DpOptions dopts;
       dopts.max_states = opts_.max_states;
+      if (odl != nullptr)
+        dopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
       f.grouping = DpFusion(pl, model, dopts).run();
       f.diag.tier = ScheduleTier::kFullDp;
+      break;
+    }
+    case Scheduler::kIncremental: {
+      IncOptions iopts;
+      iopts.max_states = opts_.max_states;
+      if (odl != nullptr)
+        iopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
+      f.grouping = IncFusion(pl, model, iopts).run();
+      f.diag.tier = ScheduleTier::kBoundedDp;  // group-limited DP passes
       break;
     }
     case Scheduler::kGreedy:

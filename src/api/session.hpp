@@ -36,11 +36,13 @@
 
 namespace fusedp {
 
-// Which schedule search produces the session's grouping.
+// Which schedule search produces the session's grouping.  The enum values
+// feed the cache key, so new entries go at the end.
 enum class Scheduler : std::uint8_t {
   kAuto = 0,    // deadline-bounded ladder: full DP -> bounded DP -> greedy
-                // -> unfused (fusion/autoschedule)
-  kDp,          // unbounded DP (paper Algorithm 1); may fail on budget
+                // -> unfused (fusion/autoschedule); never fails on budget
+  kDp,          // unbounded DP (paper Algorithm 1); may fail on budget or
+                // deadline
   kGreedy,      // PolyMage-greedy heuristic
   kHalideAuto,  // Halide-auto-inspired grouping
   kUnfused,     // singleton groups; always valid
@@ -49,9 +51,30 @@ enum class Scheduler : std::uint8_t {
                 // persisted to the find-db with measured_ms.  Outputs are
                 // bit-identical to the model-ranked schedule's — only the
                 // *choice* of schedule changes.
+  kIncremental,  // bounded incremental DP (paper Algorithm 3); may fail on
+                 // budget or deadline like kDp
+};
+
+// The scheduler table: every Scheduler with its one spelling, in enum
+// order.  The CLI's --scheduler flag and the trace's schedule-attempt
+// labels use these spellings; nothing else maps a name to a Scheduler.
+struct SchedulerSpelling {
+  Scheduler scheduler;
+  const char* spelling;
+};
+inline constexpr SchedulerSpelling kSchedulers[] = {
+    {Scheduler::kAuto, "auto"},         {Scheduler::kDp, "dp"},
+    {Scheduler::kGreedy, "greedy"},     {Scheduler::kHalideAuto, "hauto"},
+    {Scheduler::kUnfused, "unfused"},   {Scheduler::kMeasured, "measured"},
+    {Scheduler::kIncremental, "incremental"},
 };
 
 const char* scheduler_name(Scheduler s);
+// Every spelling of the table, '|'-joined in table order.
+std::string scheduler_spellings();
+// The Scheduler spelled `name`; an unknown spelling is a coded
+// kInvalidArgument that lists every spelling.
+Result<Scheduler> parse_scheduler(const std::string& name);
 
 // Everything that configures a session, in one struct: the execution knobs
 // (inherited from ExecOptions, runtime/executor.hpp), the schedule-search
@@ -61,11 +84,11 @@ const char* scheduler_name(Scheduler s);
 // kInvalidArgument errors instead of silently misbehaving.
 //
 // Of the inherited search knobs, deadline_seconds < 0 is rejected; 0 means
-// "no deadline".  The kAuto ladder and the kMeasured rung can bound their
-// own search, so with any other direct scheduler (kDp/kGreedy/...) a
-// nonzero deadline is rejected unless the cache is on — and then it bounds
-// only the cache probe and lock wait: on a cache miss the direct scheduler
-// still runs unbounded, so the deadline is best-effort on that path.
+// "no deadline".  kAuto, kDp, kIncremental and kMeasured bound their search
+// by it (kAuto demotes down its ladder, the others fail with
+// kDeadlineExceeded), so with kGreedy/kHalideAuto/kUnfused a nonzero
+// deadline is rejected unless the cache is on — and then it bounds only
+// the cache probe and lock wait.
 struct Options : ExecOptions, AutoScheduleOptions {
   // --- Scheduling ---
   Scheduler scheduler = Scheduler::kAuto;
@@ -169,7 +192,7 @@ class Session {
   // Schedules `pl` with opts.scheduler and prepares the executable plan.
   // Fails with kInvalidPipeline (unfinalized/empty pipeline),
   // kInvalidArgument (bad options), or the scheduler's own coded error
-  // (e.g. kSearchBudgetExhausted from Scheduler::kDp).
+  // (e.g. kSearchBudgetExhausted or kDeadlineExceeded from Scheduler::kDp).
   static Result<Session> open(const Pipeline& pl, Options opts = {});
   // Uses a caller-provided grouping instead of searching; fails with
   // kInvalidSchedule if it does not validate against `pl`.  Missing

@@ -233,6 +233,10 @@ MemoryTier& memory_tier() {
   return *tier;
 }
 
+void bump(std::atomic<std::int64_t>& counter, std::int64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 const char* cache_mode_name(CacheMode mode) {
@@ -476,14 +480,24 @@ FindDb::FindDb(FindbOptions opts) : opts_(std::move(opts)) {
   if (opts_.git_sha.empty()) opts_.git_sha = "";  // explicit: empty = no check
 }
 
+CacheCounters FindDb::counters() const {
+  const auto get = [](const std::atomic<std::int64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const auto& c = counters_;
+  return {get(c.hits),          get(c.memory_hits),    get(c.misses),
+          get(c.bad_records),   get(c.lock_timeouts),  get(c.io_errors),
+          get(c.stores),        get(c.store_failures), get(c.evictions)};
+}
+
 void FindDb::note(ProbeOutcome outcome) {
   switch (outcome) {
-    case ProbeOutcome::kHit: ++counters_.hits; break;
-    case ProbeOutcome::kMiss: ++counters_.misses; break;
-    case ProbeOutcome::kLockTimeout: ++counters_.lock_timeouts; break;
-    case ProbeOutcome::kIoError: ++counters_.io_errors; break;
+    case ProbeOutcome::kHit: bump(counters_.hits); break;
+    case ProbeOutcome::kMiss: bump(counters_.misses); break;
+    case ProbeOutcome::kLockTimeout: bump(counters_.lock_timeouts); break;
+    case ProbeOutcome::kIoError: bump(counters_.io_errors); break;
     case ProbeOutcome::kBypass: break;
-    default: ++counters_.bad_records; break;
+    default: bump(counters_.bad_records); break;
   }
 }
 
@@ -502,8 +516,8 @@ ProbeResult FindDb::probe(const CacheKey& key, const Deadline* deadline) {
       memory_tier().get(mem_key, &res.record)) {
     res.outcome = ProbeOutcome::kHit;
     res.from_memory = true;
-    ++counters_.hits;
-    ++counters_.memory_hits;
+    bump(counters_.hits);
+    bump(counters_.memory_hits);
     res.seconds = timer.seconds();
     return res;
   }
@@ -580,12 +594,12 @@ ProbeResult FindDb::probe_disk(const CacheKey& key, const Deadline* deadline) {
 Result<bool> FindDb::store(const CacheKey& key, const CacheRecord& rec,
                            const Deadline* deadline) {
   if (opts_.mode != CacheMode::kReadWrite) {
-    ++counters_.store_failures;
+    bump(counters_.store_failures);
     return Result<bool>::failure(ErrorCode::kInvalidArgument,
                                  "FindDb::store: cache mode is not readwrite");
   }
   auto io_fail = [&](const std::string& why) {
-    ++counters_.store_failures;
+    bump(counters_.store_failures);
     return Result<bool>::failure(ErrorCode::kIoError, "FindDb::store: " + why);
   };
 
@@ -596,8 +610,8 @@ Result<bool> FindDb::store(const CacheKey& key, const CacheRecord& rec,
                                          storage::FileLock::Type::kExclusive,
                                          opts_.lock_timeout_seconds, deadline);
   if (!lock.ok()) {
-    ++counters_.store_failures;
-    ++counters_.lock_timeouts;
+    bump(counters_.store_failures);
+    bump(counters_.lock_timeouts);
     return Result<bool>::failure(lock.code(), lock.error().what());
   }
 
@@ -613,14 +627,14 @@ Result<bool> FindDb::store(const CacheKey& key, const CacheRecord& rec,
   try {
     FUSEDP_FAULT_POINT("findb.write");
   } catch (const Error& e) {
-    ++counters_.store_failures;
+    bump(counters_.store_failures);
     return Result<bool>::failure(ErrorCode::kFaultInjected, e.what());
   }
 
   const std::string bytes = encode_record(key, rec);
   if (static_cast<std::int64_t>(bytes.size()) > kMaxRecordBytes) {
     // Never write a record the reader's size cap would refuse to load.
-    ++counters_.store_failures;
+    bump(counters_.store_failures);
     return Result<bool>::failure(
         ErrorCode::kInvalidArgument,
         "FindDb::store: record " + std::to_string(bytes.size()) +
@@ -659,7 +673,7 @@ Result<bool> FindDb::store(const CacheKey& key, const CacheRecord& rec,
   try {
     FUSEDP_FAULT_POINT("findb.commit");
   } catch (const Error& e) {
-    ++counters_.store_failures;
+    bump(counters_.store_failures);
     return Result<bool>::failure(ErrorCode::kFaultInjected, e.what());
   }
 
@@ -670,7 +684,7 @@ Result<bool> FindDb::store(const CacheKey& key, const CacheRecord& rec,
   }
   fsync_dir(opts_.dir);
 
-  ++counters_.stores;
+  bump(counters_.stores);
   if (opts_.memory_entries > 0)
     memory_tier().put(join(opts_.dir, stem), rec, opts_.memory_entries);
   compact_locked();
@@ -683,7 +697,7 @@ void FindDb::evict_bad_record(const CacheKey& key) {
                                          opts_.lock_timeout_seconds, nullptr);
   if (!lock.ok()) return;  // best effort; next probe will retry
   if (::unlink(join(opts_.dir, key.stem() + kRecordExt).c_str()) == 0)
-    ++counters_.evictions;
+    bump(counters_.evictions);
   memory_tier().erase(join(opts_.dir, key.stem()));
 }
 
@@ -703,7 +717,7 @@ Result<int> FindDb::evict(const CacheKey& key) {
     return Result<int>::failure(ErrorCode::kIoError,
                                 "unlink: " + errno_str());
   memory_tier().erase(join(opts_.dir, key.stem()));
-  counters_.evictions += removed;
+  bump(counters_.evictions, removed);
   return Result<int>(removed);
 }
 
@@ -734,7 +748,7 @@ Result<int> FindDb::evict_all() {
   // process-wide, and sessions on *other* cache_dirs must keep their
   // still-valid hot entries.
   memory_tier().erase_prefix(join(opts_.dir, ""));
-  counters_.evictions += removed;
+  bump(counters_.evictions, removed);
   return Result<int>(removed);
 }
 
@@ -799,11 +813,12 @@ Result<std::vector<EntryInfo>> FindDb::scan(bool repair) {
 
   if (repair) {
     for (const std::string& name : debris)
-      if (::unlink(join(opts_.dir, name).c_str()) == 0) ++counters_.evictions;
+      if (::unlink(join(opts_.dir, name).c_str()) == 0)
+        bump(counters_.evictions);
     for (const EntryInfo& info : entries) {
       if (info.valid) continue;
       if (::unlink(join(opts_.dir, info.file).c_str()) == 0) {
-        ++counters_.evictions;
+        bump(counters_.evictions);
         memory_tier().erase(join(opts_.dir, info.file.substr(0, 50)));
       }
     }
@@ -862,7 +877,7 @@ void FindDb::compact_locked() {
           (opts_.max_bytes > 0 && total_bytes > opts_.max_bytes))) {
     const Item& it = items[victim++];
     if (::unlink(join(opts_.dir, it.name).c_str()) == 0) {
-      ++counters_.evictions;
+      bump(counters_.evictions);
       memory_tier().erase(join(opts_.dir, it.name.substr(0, 50)));
     }
     --count;

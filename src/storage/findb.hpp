@@ -41,6 +41,7 @@
 // dir+stem) serves hot pipelines without touching the filesystem at all.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -136,18 +137,23 @@ struct FindbOptions {
 };
 
 // Running counters for one FindDb handle (monotonic; CLI `cache stats`
-// aggregates per-directory truth by scanning instead).
-struct CacheCounters {
-  std::int64_t hits = 0;
-  std::int64_t memory_hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t bad_records = 0;   // corrupt/truncated/skew/stale/mismatch
-  std::int64_t lock_timeouts = 0;
-  std::int64_t io_errors = 0;
-  std::int64_t stores = 0;
-  std::int64_t store_failures = 0;
-  std::int64_t evictions = 0;
+// aggregates per-directory truth by scanning instead).  probe() and store()
+// may run concurrently on one handle, so the handle counts into atomics
+// (relaxed: nothing synchronizes on a statistic) and counters() returns a
+// plain CacheCounters snapshot.
+template <typename Count>
+struct BasicCacheCounters {
+  Count hits{0};
+  Count memory_hits{0};
+  Count misses{0};
+  Count bad_records{0};  // corrupt/truncated/skew/stale/mismatch
+  Count lock_timeouts{0};
+  Count io_errors{0};
+  Count stores{0};
+  Count store_failures{0};
+  Count evictions{0};
 };
+using CacheCounters = BasicCacheCounters<std::int64_t>;
 
 // A scanned directory entry (CLI stats/verify).
 struct EntryInfo {
@@ -189,7 +195,9 @@ class FindDb {
   // kReadWrite).
   Result<std::vector<EntryInfo>> scan(bool repair = false);
 
-  const CacheCounters& counters() const { return counters_; }
+  // Concurrent calls keep counting while this reads, so the snapshot's
+  // fields need not be mutually consistent.
+  CacheCounters counters() const;
   const FindbOptions& options() const { return opts_; }
 
   // Drops the process-wide memory tier (tests; also `cache evict`).
@@ -205,7 +213,7 @@ class FindDb {
   void compact_locked();
 
   FindbOptions opts_;
-  CacheCounters counters_;
+  BasicCacheCounters<std::atomic<std::int64_t>> counters_;
 };
 
 // --- Record wire format (exposed for tests and fuzzing) -------------------

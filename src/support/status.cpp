@@ -18,6 +18,23 @@ const char* error_code_name(ErrorCode code) {
   return "unknown";
 }
 
+int exit_code(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kInvalidPipeline:
+    case ErrorCode::kInvalidSchedule:
+    case ErrorCode::kInvalidArgument:
+    case ErrorCode::kIoError:
+      return 3;
+    case ErrorCode::kSearchBudgetExhausted:
+    case ErrorCode::kDeadlineExceeded:
+      return 4;
+    case ErrorCode::kResourceExhausted:
+      return 6;
+    default:
+      return 5;
+  }
+}
+
 void fail(const std::string& msg, const char* file, int line) {
   fail(ErrorCode::kInternal, msg, file, line);
 }

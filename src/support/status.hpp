@@ -47,6 +47,12 @@ enum class ErrorCode : std::uint8_t {
 // Stable lowercase name, e.g. "deadline-exceeded" (for logs and the CLI).
 const char* error_code_name(ErrorCode code);
 
+// The command-line tools' process exit code for `code`, one per family so
+// scripted callers can dispatch on it (docs/cli.md): invalid input 3,
+// budget/deadline 4, internal (and anything unexpected) 5, resource
+// budget 6.
+int exit_code(ErrorCode code);
+
 class Error : public std::runtime_error {
  public:
   explicit Error(std::string msg, ErrorCode code = ErrorCode::kInternal)

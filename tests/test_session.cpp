@@ -88,13 +88,120 @@ TEST(OptionsValidationTest, RejectsZeroStateBudgetForDpSchedulers) {
   EXPECT_TRUE(validate_options(o).ok());
 }
 
+TEST(OptionsValidationTest, RejectsZeroStateBudgetForIncremental) {
+  Options o;
+  o.scheduler = Scheduler::kIncremental;
+  o.max_states = 0;
+  Result<bool> r = validate_options(o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(OptionsValidationTest, RejectsDeadlineOnNonAutoScheduler) {
   Options o;
   o.deadline_seconds = 0.5;
-  o.scheduler = Scheduler::kDp;
+  o.scheduler = Scheduler::kGreedy;
   EXPECT_FALSE(validate_options(o).ok());
   o.scheduler = Scheduler::kAuto;
   EXPECT_TRUE(validate_options(o).ok());
+}
+
+TEST(OptionsValidationTest, AcceptsDeadlineOnEveryDpScheduler) {
+  Options o;
+  o.deadline_seconds = 0.5;
+  for (Scheduler which : {Scheduler::kAuto, Scheduler::kDp,
+                          Scheduler::kIncremental, Scheduler::kMeasured}) {
+    o.scheduler = which;
+    EXPECT_TRUE(validate_options(o).ok()) << scheduler_name(which);
+  }
+  for (Scheduler which : {Scheduler::kGreedy, Scheduler::kHalideAuto,
+                          Scheduler::kUnfused}) {
+    o.scheduler = which;
+    EXPECT_FALSE(validate_options(o).ok()) << scheduler_name(which);
+  }
+}
+
+// --- The scheduler table ----------------------------------------------------
+
+TEST(SchedulerTableTest, EverySchedulerRoundTripsThroughItsSpelling) {
+  // The table lists every enumerator once, in enum order.
+  const int last = static_cast<int>(Scheduler::kIncremental);
+  ASSERT_EQ(std::size(kSchedulers), static_cast<std::size_t>(last + 1));
+  for (int i = 0; i <= last; ++i) {
+    const Scheduler s = static_cast<Scheduler>(i);
+    EXPECT_EQ(kSchedulers[i].scheduler, s);
+    Result<Scheduler> back = parse_scheduler(scheduler_name(s));
+    ASSERT_TRUE(back.ok()) << scheduler_name(s);
+    EXPECT_EQ(back.value(), s) << scheduler_name(s);
+  }
+}
+
+TEST(SchedulerTableTest, UnknownSpellingNamesEverySpelling) {
+  for (const char* bad : {"", "halide-auto", "DP", "manual"}) {
+    Result<Scheduler> r = parse_scheduler(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.error().code(), ErrorCode::kInvalidArgument);
+    const std::string msg = r.error().what();
+    for (const SchedulerSpelling& e : kSchedulers)
+      EXPECT_NE(msg.find(e.spelling), std::string::npos) << e.spelling;
+  }
+}
+
+TEST(SchedulerTableTest, DpAndIncrementalRunTheirPaperAlgorithms) {
+  // kDp is Algorithm 1 (DpFusion) and kIncremental Algorithm 3
+  // (IncFusion) on every pipeline, budget failures included: pyramid's
+  // Algorithm 1 outgrows any budget (paper Table 2), so a small one shows
+  // both routes failing alike without paying for the full 50M states.
+  for (const BenchmarkInfo& b : benchmark_list()) {
+    const PipelineSpec spec = make_benchmark(b.key, 16);
+    const Pipeline& pl = *spec.pipeline;
+    Options o;
+    o.max_states = b.key == "pyramid" ? 200'000 : 4'000'000;
+    const CostModel model(pl, o.machine);
+
+    IncOptions io;
+    io.max_states = o.max_states;
+    const Grouping inc = IncFusion(pl, model, io).run();
+    o.scheduler = Scheduler::kIncremental;
+    Result<Session> s_inc = Session::open(pl, o);
+    ASSERT_TRUE(s_inc.ok()) << b.key << ": " << s_inc.error().what();
+    EXPECT_EQ(s_inc.value().grouping().to_string(pl), inc.to_string(pl))
+        << b.key;
+
+    DpOptions dopts;
+    dopts.max_states = o.max_states;
+    Result<Grouping> dp = [&]() -> Result<Grouping> {
+      try {
+        return DpFusion(pl, model, dopts).run();
+      } catch (const Error& e) {
+        return Result<Grouping>(e);
+      }
+    }();
+    o.scheduler = Scheduler::kDp;
+    Result<Session> s_dp = Session::open(pl, o);
+    ASSERT_EQ(s_dp.ok(), dp.ok()) << b.key;
+    if (dp.ok())
+      EXPECT_EQ(s_dp.value().grouping().to_string(pl),
+                dp.value().to_string(pl))
+          << b.key;
+    else
+      EXPECT_EQ(s_dp.error().code(), dp.error().code()) << b.key;
+  }
+}
+
+TEST(SchedulerTableTest, DpAndIncrementalHonourTheDeadline) {
+  // harris enumerates ~700 DP states, past the DP's 256-state deadline
+  // stride, so a microsecond deadline must stop the search.
+  const PipelineSpec spec = make_benchmark("harris", 16);
+  for (Scheduler which : {Scheduler::kDp, Scheduler::kIncremental}) {
+    Options o;
+    o.scheduler = which;
+    o.deadline_seconds = 1e-6;
+    Result<Session> s = Session::open(*spec.pipeline, o);
+    ASSERT_FALSE(s.ok()) << scheduler_name(which);
+    EXPECT_EQ(s.error().code(), ErrorCode::kDeadlineExceeded)
+        << scheduler_name(which);
+  }
 }
 
 TEST(OptionsValidationTest, RejectsDegenerateLadderAndGreedyConfig) {
@@ -259,8 +366,8 @@ TEST(SessionRoundTripTest, EverySchedulerChoiceProducesValidSession) {
   const Pipeline& pl = *spec.pipeline;
   const std::vector<Buffer> inputs = spec.make_inputs();
   const std::vector<Buffer> ref = run_reference(pl, inputs);
-  for (Scheduler which : {Scheduler::kAuto, Scheduler::kDp, Scheduler::kGreedy,
-                          Scheduler::kHalideAuto, Scheduler::kUnfused}) {
+  for (const SchedulerSpelling& e : kSchedulers) {
+    const Scheduler which = e.scheduler;
     Options o;
     o.scheduler = which;
     Result<Session> opened = Session::open(pl, o);

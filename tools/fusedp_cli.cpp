@@ -4,25 +4,30 @@
 //
 //   fusedp list
 //   fusedp show <benchmark> [--scale=N]
-//   fusedp schedule <benchmark> [--scheduler=dp|auto|greedy|hauto|manual|
-//                   unfused]
+//   fusedp schedule <benchmark> [--scheduler=S] [--load=FILE]
 //                   [--machine=xeon|opteron|host] [--scale=N] [--save=FILE]
-//   fusedp dot <benchmark> [--scheduler=...] [--scale=N]      (graphviz)
-//   fusedp run <benchmark> [--scheduler=...] [--threads=T] [--runs=R]
+//   fusedp dot <benchmark> [--scheduler=S] [--scale=N]      (graphviz)
+//   fusedp run <benchmark> [--scheduler=S] [--threads=T] [--runs=R]
 //              [--verify] [--pooled] [--load=FILE]
 //              [--cache=read|readwrite] [--cache-dir=DIR]
 //              [--trace=FILE.json] [--report]
-//   fusedp verify <benchmark> [--scheduler=...] [--scale=N] [--seed=S]
+//   fusedp verify <benchmark> [--scheduler=S] [--scale=N] [--seed=S]
 //   fusedp cache <stats|verify|evict|warm> --cache-dir=DIR
 //              [--repair] [--stem=S|--all] [--bench=KEY|all] [--measure]
 //   fusedp tune [--bench=KEY|all] [--runs=R] [--cache-dir=DIR]
 //               [--out-model=FILE] [--dry-run]
 //
-// `run` executes through the fusedp::Session facade; --trace exports the
-// measured run as Chrome trace_event JSON and --report prints the cost
-// model's predicted per-group scores against measured wall times.  With
-// --cache, `run` opens through the persistent schedule cache (a hit skips
-// the search entirely); `cache` inspects and maintains a cache directory.
+// S is a spelling of the session's scheduler table (scheduler_spellings(),
+// api/session.hpp) or `manual`, the benchmark's hand-written grouping.
+// `schedule`, `dot`, `run` and `verify` all get their grouping from
+// Session::open: --load=FILE and `manual` open as given, every other
+// spelling is searched by the session.
+//
+// `run` executes the session; --trace exports the measured run as Chrome
+// trace_event JSON and --report prints the cost model's predicted
+// per-group scores against measured wall times.  With --cache, `run` opens
+// through the persistent schedule cache (a hit skips the search entirely);
+// `cache` inspects and maintains a cache directory.
 // `verify` runs the differential oracle on the chosen schedule; `tune`
 // re-fits the MachineModel weights from measured runs (model/tune.hpp).
 //
@@ -66,24 +71,23 @@ void check_flags(const Cli& cli, const char* const* known,
 }
 
 // Per-subcommand known-flag tables (the shared parser in support/cli.hpp
-// does the matching).  Scheduling flags repeat across commands because each
-// table is the complete contract for its subcommand.
+// does the matching).  Every command that schedules reads the same flags
+// through open_session, so they share one list.
+#define FUSEDP_SCHEDULING_FLAGS                                          \
+  "scale", "machine", "scheduler", "load", "max-states", "deadline-ms", \
+      "t1", "t2", "tolerance", "top-k", "repeats", "machine-file"
 constexpr const char* kListFlags[] = {nullptr};
 constexpr const char* kShowFlags[] = {"scale", nullptr};
-constexpr const char* kScheduleFlags[] = {
-    "scale", "machine", "scheduler", "save", "load", "max-states",
-    "deadline-ms", "t1", "t2", "tolerance", nullptr};
-constexpr const char* kDotFlags[] = {
-    "scale", "machine", "scheduler", "load", "max-states", "deadline-ms",
-    "t1", "t2", "tolerance", nullptr};
+constexpr const char* kScheduleFlags[] = {FUSEDP_SCHEDULING_FLAGS, "save",
+                                          nullptr};
+constexpr const char* kDotFlags[] = {FUSEDP_SCHEDULING_FLAGS, nullptr};
 constexpr const char* kRunFlags[] = {
-    "scale", "machine", "scheduler", "load", "threads", "runs", "verify",
-    "pooled", "seed", "cache", "cache-dir", "trace", "report", "deadline-ms",
-    "max-states", "run-deadline-ms", "attempts", "mem-budget-mb", "t1", "t2",
-    "tolerance", "top-k", "repeats", "machine-file", nullptr};
-constexpr const char* kVerifyFlags[] = {
-    "scale", "machine", "scheduler", "load", "seed", "max-states",
-    "deadline-ms", "t1", "t2", "tolerance", nullptr};
+    FUSEDP_SCHEDULING_FLAGS, "threads", "runs", "verify", "pooled", "seed",
+    "cache", "cache-dir", "trace", "report", "run-deadline-ms", "attempts",
+    "mem-budget-mb", nullptr};
+constexpr const char* kVerifyFlags[] = {FUSEDP_SCHEDULING_FLAGS, "seed",
+                                        nullptr};
+#undef FUSEDP_SCHEDULING_FLAGS
 constexpr const char* kCacheFlags[] = {
     "cache-dir", "repair", "stem", "all", "bench", "measure", "scale",
     "threads", "machine", "deadline-ms", nullptr};
@@ -98,46 +102,16 @@ MachineModel machine_of(const Cli& cli) {
   return MachineModel::host();
 }
 
-Grouping make_schedule(const Cli& cli, const PipelineSpec& spec,
-                       const CostModel& model) {
-  const std::string load = cli.get("load", "");
-  if (!load.empty()) return load_grouping(*spec.pipeline, load);
-  const std::string which = cli.get("scheduler", "dp");
-  if (which == "dp") {
-    IncOptions iopts;
-    iopts.max_states =
-        static_cast<std::uint64_t>(cli.get_int("max-states", 50'000'000));
-    iopts.deadline_seconds = cli.get_double("deadline-ms", 0.0) / 1e3;
-    IncFusion inc(*spec.pipeline, model, iopts);
-    return inc.run();
-  }
-  if (which == "auto") {
-    AutoScheduleOptions opts;
-    opts.deadline_seconds = cli.get_double("deadline-ms", 0.0) / 1e3;
-    opts.max_states =
-        static_cast<std::uint64_t>(cli.get_int("max-states", 50'000'000));
-    ScheduleResult res = auto_schedule(*spec.pipeline, model, opts);
-    std::fprintf(stderr, "%s", res.diagnostics.summary().c_str());
-    return std::move(res.grouping);
-  }
-  if (which == "greedy") {
-    const PolyMageGreedy greedy(*spec.pipeline, model);
-    return greedy.run(cli.get_int("t1", 64), cli.get_int("t2", 128),
-                      cli.get_double("tolerance", 0.4));
-  }
-  if (which == "hauto") {
-    const HalideAuto h(*spec.pipeline, model);
-    return h.run();
-  }
-  if (which == "manual") return spec.manual_grouping(model);
-  if (which == "unfused") return singleton_grouping(*spec.pipeline, model);
-  FUSEDP_CHECK_CODE(false, ErrorCode::kInvalidArgument,
-                    "unknown scheduler: " + which +
-                        " (want dp|auto|greedy|hauto|manual|unfused)");
-  return {};
+// --bench=KEY, or every paper pipeline for --bench=all (the default).
+std::vector<std::string> bench_keys(const Cli& cli) {
+  const std::string which = cli.get("bench", "all");
+  if (which != "all") return {which};
+  std::vector<std::string> keys;
+  for (const auto& b : benchmark_list()) keys.push_back(b.key);
+  return keys;
 }
 
-int cmd_list() {
+int cmd_list(const Cli&, const std::string&) {
   std::printf("%-12s %-22s %7s %s\n", "key", "benchmark", "stages",
               "paper image size");
   for (const auto& b : benchmark_list())
@@ -152,51 +126,6 @@ int cmd_show(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
   std::printf("%s", pipeline_to_string(*spec.pipeline).c_str());
   return 0;
-}
-
-int cmd_schedule(const Cli& cli, const std::string& bench) {
-  const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
-  const CostModel model(*spec.pipeline, machine_of(cli));
-  const Grouping g = make_schedule(cli, spec, model);
-  std::printf("%s", g.to_string(*spec.pipeline).c_str());
-  const std::string plan =
-      plan_to_string(lower(*spec.pipeline, g), nullptr, &model);
-  std::printf("\n%s", plan.c_str());
-  const std::string save = cli.get("save", "");
-  if (!save.empty()) {
-    save_grouping(*spec.pipeline, g, save);
-    std::printf("\nsaved schedule to %s\n", save.c_str());
-  }
-  return 0;
-}
-
-int cmd_dot(const Cli& cli, const std::string& bench) {
-  const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
-  if (cli.has("scheduler") || cli.has("load")) {
-    const CostModel model(*spec.pipeline, machine_of(cli));
-    std::printf("%s", grouping_to_dot(*spec.pipeline,
-                                      make_schedule(cli, spec, model))
-                          .c_str());
-  } else {
-    std::printf("%s", pipeline_to_dot(*spec.pipeline).c_str());
-  }
-  return 0;
-}
-
-// Maps the CLI scheduler spelling onto the Session facade's enum (the
-// cached `run` path schedules inside Session::open, not via make_schedule).
-Scheduler session_scheduler_of(const std::string& which) {
-  if (which == "auto") return Scheduler::kAuto;
-  if (which == "dp") return Scheduler::kDp;
-  if (which == "greedy") return Scheduler::kGreedy;
-  if (which == "hauto") return Scheduler::kHalideAuto;
-  if (which == "unfused") return Scheduler::kUnfused;
-  if (which == "measured") return Scheduler::kMeasured;
-  FUSEDP_CHECK_CODE(false, ErrorCode::kInvalidArgument,
-                    "session-scheduled runs need --scheduler="
-                    "auto|dp|greedy|hauto|unfused|measured (got " +
-                        which + ")");
-  return Scheduler::kAuto;
 }
 
 // Applies --cache/--cache-dir to session options (coded error on misuse).
@@ -224,29 +153,104 @@ void print_cache_events(const Session& session) {
                 ev.seconds * 1e3);
 }
 
+// --scheduler=manual is the one spelling outside the session's scheduler
+// table: it names no search but the benchmark's hand-written grouping.
+constexpr const char kManual[] = "manual";
+
+// Opens `spec`'s session with the scheduling flags applied on top of
+// `opts`; `fallback` stands in for an absent --scheduler.  Caller-given
+// groupings (--load=FILE, --scheduler=manual) open as given; every other
+// spelling is searched by Session::open.  A search that leaves a
+// post-mortem (auto's ladder, measured's candidates) prints it to stderr.
+Session open_session(const Cli& cli, const PipelineSpec& spec,
+                     Scheduler fallback, Options opts = {}) {
+  const Pipeline& pl = *spec.pipeline;
+  opts.machine = machine_of(cli);
+  opts.machine_file = cli.get("machine-file", "");
+  opts.deadline_seconds = cli.get_double("deadline-ms", 0.0) / 1e3;
+  opts.max_states = static_cast<std::uint64_t>(
+      cli.get_int("max-states", static_cast<std::int64_t>(opts.max_states)));
+  opts.greedy_t1 = cli.get_int("t1", opts.greedy_t1);
+  opts.greedy_t2 = cli.get_int("t2", opts.greedy_t2);
+  opts.greedy_tolerance = cli.get_double("tolerance", opts.greedy_tolerance);
+  opts.measured_top_k =
+      static_cast<int>(cli.get_int("top-k", opts.measured_top_k));
+  opts.measured_repeats =
+      static_cast<int>(cli.get_int("repeats", opts.measured_repeats));
+  apply_cache_flags(cli, &opts);
+
+  const std::string load = cli.get("load", "");
+  const std::string which = cli.get("scheduler", scheduler_name(fallback));
+  Result<Session> opened = [&] {
+    if (!load.empty()) return Session::open(pl, load_grouping(pl, load), opts);
+    if (which == kManual)
+      return Session::open(
+          pl, spec.manual_grouping(CostModel(pl, opts.machine)), opts);
+    Result<Scheduler> parsed = parse_scheduler(which);
+    FUSEDP_CHECK_CODE(parsed.ok(), ErrorCode::kInvalidArgument,
+                      "unknown scheduler: " + which + " (want " +
+                          scheduler_spellings() + "|" + kManual + ")");
+    opts.scheduler = parsed.value();
+    return Session::open(pl, opts);
+  }();
+  if (!opened.ok()) throw opened.error();
+  Session session = std::move(opened).value();
+  if (!session.diagnostics().attempts.empty())
+    std::fprintf(stderr, "%s", session.diagnostics().summary().c_str());
+  return session;
+}
+
+// Runs `g` through the differential oracle: every backend configuration,
+// every materialized stage bit-compared against the scalar reference.
+// Divergence exits through the standard error-code map.
+void verify_grouping(const Cli& cli, const Pipeline& pl, const Grouping& g,
+                     const std::vector<Buffer>& inputs) {
+  const verify::DiffResult res = verify::diff_grouping(
+      pl, g, inputs, static_cast<std::uint64_t>(cli.get_int("seed", 0)));
+  if (res.diverged) {
+    std::fprintf(stderr, "%s\n", res.record.to_string().c_str());
+    FUSEDP_CHECK_CODE(false, ErrorCode::kInternal,
+                      "differential verification FAILED (backend " +
+                          res.record.backend + ")");
+  }
+  std::printf(
+      "verified: %d executor configs clean (bit-exact rungs + fastmath "
+      "tolerance rung)\n",
+      res.runs);
+}
+
+int cmd_schedule(const Cli& cli, const std::string& bench) {
+  const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
+  const Pipeline& pl = *spec.pipeline;
+  const Session session = open_session(cli, spec, Scheduler::kIncremental);
+  const Grouping& g = session.grouping();
+  std::printf("%s", g.to_string(pl).c_str());
+  const CostModel model(pl, session.options().machine);
+  const std::string plan = plan_to_string(lower(pl, g), nullptr, &model);
+  std::printf("\n%s", plan.c_str());
+  const std::string save = cli.get("save", "");
+  if (!save.empty()) {
+    save_grouping(pl, g, save);
+    std::printf("\nsaved schedule to %s\n", save.c_str());
+  }
+  return 0;
+}
+
+int cmd_dot(const Cli& cli, const std::string& bench) {
+  const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
+  if (cli.has("scheduler") || cli.has("load")) {
+    const Session session = open_session(cli, spec, Scheduler::kIncremental);
+    std::printf("%s",
+                grouping_to_dot(*spec.pipeline, session.grouping()).c_str());
+  } else {
+    std::printf("%s", pipeline_to_dot(*spec.pipeline).c_str());
+  }
+  return 0;
+}
+
 int cmd_run(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
   const Pipeline& pl = *spec.pipeline;
-  const bool use_cache = cli.has("cache");
-  // The session schedules for itself whenever the schedule depends on
-  // session-only machinery: the cache, the measured rung, or a fitted
-  // machine-model file.
-  const std::string sched_flag =
-      cli.get("scheduler", use_cache ? "auto" : "dp");
-  const bool session_schedules =
-      use_cache || sched_flag == "measured" || cli.has("machine-file");
-  const CostModel model(pl, machine_of(cli));
-  Grouping g;
-  if (!session_schedules) {
-    g = make_schedule(cli, spec, model);
-    std::printf("%s\n", g.to_string(pl).c_str());
-  } else {
-    FUSEDP_CHECK_CODE(!cli.has("load"), ErrorCode::kInvalidArgument,
-                      "--cache/--scheduler=measured/--machine-file schedule "
-                      "inside the session and are mutually exclusive with "
-                      "--load (a loaded schedule bypasses them)");
-  }
-
   const std::vector<Buffer> inputs = spec.make_inputs();
   const std::string trace_path = cli.get("trace", "");
   const bool want_report = cli.has("report");
@@ -254,7 +258,6 @@ int cmd_run(const Cli& cli, const std::string& bench) {
   Options opts;
   opts.num_threads = static_cast<int>(cli.get_int("threads", 4));
   opts.pooled_storage = cli.has("pooled");
-  opts.machine = machine_of(cli);
   opts.collect_trace = !trace_path.empty() || want_report;
   // The report only needs per-group aggregates; tile events are collected
   // only when a timeline is actually being exported.
@@ -268,27 +271,15 @@ int cmd_run(const Cli& cli, const std::string& bench) {
   if (budget_mb > 0)
     ResourceGovernor::instance().set_budget(budget_mb * (1 << 20));
 
-  Result<Session> opened = [&] {
-    if (!session_schedules) return Session::open(pl, g, opts);
-    // Session-scheduled path: the session searches (or warm-starts) itself.
-    if (use_cache) apply_cache_flags(cli, &opts);
-    opts.scheduler = session_scheduler_of(sched_flag);
-    opts.deadline_seconds = cli.get_double("deadline-ms", 0.0) / 1e3;
-    opts.max_states =
-        static_cast<std::uint64_t>(cli.get_int("max-states", 50'000'000));
-    opts.machine_file = cli.get("machine-file", "");
-    opts.measured_top_k = static_cast<int>(cli.get_int("top-k", 4));
-    opts.measured_repeats = static_cast<int>(cli.get_int("repeats", 2));
-    return Session::open(pl, opts);
-  }();
-  if (!opened.ok()) throw opened.error();
-  Session session = std::move(opened).value();
-  if (session_schedules) {
-    if (use_cache) print_cache_events(session);
-    std::printf("%s%s\n", session.warm_start() ? "warm start\n" : "",
-                session.grouping().to_string(pl).c_str());
-    g = session.grouping();
-  }
+  // A cached run defaults to the ladder that never fails on budget: its
+  // result is what every later warm open replays.
+  Session session = open_session(
+      cli, spec,
+      cli.has("cache") ? Scheduler::kAuto : Scheduler::kIncremental, opts);
+  print_cache_events(session);
+  const Grouping& g = session.grouping();
+  std::printf("%s%s\n", session.warm_start() ? "warm start\n" : "",
+              g.to_string(pl).c_str());
 
   if (Result<double> warm = session.execute(inputs); !warm.ok())
     throw warm.error();
@@ -318,51 +309,20 @@ int cmd_run(const Cli& cli, const std::string& bench) {
                 observe::run_report_to_string(session.last_report()).c_str());
   }
 
-  if (cli.has("verify")) {
-    // Re-run the chosen schedule through the differential oracle: every
-    // backend config, every materialized stage bit-compared to the scalar
-    // reference.  Divergence exits through the standard error-code map.
-    const verify::DiffResult res = verify::diff_grouping(
-        pl, g, inputs, static_cast<std::uint64_t>(cli.get_int("seed", 0)));
-    if (res.diverged) {
-      std::fprintf(stderr, "%s\n", res.record.to_string().c_str());
-      FUSEDP_CHECK_CODE(false, ErrorCode::kInternal,
-                        "differential verification FAILED (backend " +
-                            res.record.backend + ")");
-    }
-    std::printf(
-        "verified: %d executor configs clean (bit-exact rungs + fastmath "
-        "tolerance rung)\n",
-        res.runs);
-  }
+  if (cli.has("verify")) verify_grouping(cli, pl, g, inputs);
   return 0;
 }
 
-// fusedp verify <bench> [--scheduler=...] [--scale=N] [--seed=S]
+// fusedp verify <bench> [--scheduler=S] [--scale=N] [--seed=S]
 //
-// Runs the chosen schedule through the differential oracle: every backend
-// configuration, every materialized stage bit-compared against the scalar
-// reference (the same check `run --verify` performs after timing, as its
-// own subcommand for CI and scripted gates).
+// Runs the chosen schedule through the differential oracle (the same check
+// `run --verify` performs after timing, as its own subcommand for CI and
+// scripted gates).
 int cmd_verify(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
-  const Pipeline& pl = *spec.pipeline;
-  const CostModel model(pl, machine_of(cli));
-  const Grouping g = make_schedule(cli, spec, model);
-  std::printf("%s\n", g.to_string(pl).c_str());
-  const std::vector<Buffer> inputs = spec.make_inputs();
-  const verify::DiffResult res = verify::diff_grouping(
-      pl, g, inputs, static_cast<std::uint64_t>(cli.get_int("seed", 0)));
-  if (res.diverged) {
-    std::fprintf(stderr, "%s\n", res.record.to_string().c_str());
-    FUSEDP_CHECK_CODE(false, ErrorCode::kInternal,
-                      "differential verification FAILED (backend " +
-                          res.record.backend + ")");
-  }
-  std::printf(
-      "verified: %d executor configs clean (bit-exact rungs + fastmath "
-      "tolerance rung)\n",
-      res.runs);
+  const Session session = open_session(cli, spec, Scheduler::kIncremental);
+  std::printf("%s\n", session.grouping().to_string(*spec.pipeline).c_str());
+  verify_grouping(cli, *spec.pipeline, session.grouping(), spec.make_inputs());
   return 0;
 }
 
@@ -379,17 +339,11 @@ int cmd_verify(const Cli& cli, const std::string& bench) {
 // the fitted "fusedp-machine v1" file that `run --machine-file=FILE` and
 // Options::machine_file load.  --dry-run runs the whole fit but writes
 // nothing (the CI smoke path).
-int cmd_tune(const Cli& cli) {
+int cmd_tune(const Cli& cli, const std::string&) {
   const MachineModel base = machine_of(cli);
   Tuner tuner(base);
 
-  std::vector<std::string> keys;
-  const std::string which = cli.get("bench", "all");
-  if (which == "all") {
-    for (const auto& b : benchmark_list()) keys.push_back(b.key);
-  } else {
-    keys.push_back(which);
-  }
+  const std::vector<std::string> keys = bench_keys(cli);
   const int runs = static_cast<int>(cli.get_int("runs", 2));
   const std::int64_t scale = cli.get_int("scale", 6);
 
@@ -574,32 +528,19 @@ int cmd_cache(const Cli& cli, const std::string& sub) {
   }
 
   if (sub == "warm") {
-    const std::string which = cli.get("bench", "all");
-    const bool measure = cli.has("measure");
-    std::vector<std::string> keys;
-    if (which == "all") {
-      for (const auto& b : benchmark_list()) keys.push_back(b.key);
-    } else {
-      keys.push_back(which);
-    }
-    for (const std::string& key : keys) {
+    for (const std::string& key : bench_keys(cli)) {
       const PipelineSpec spec = make_benchmark(key, cli.get_int("scale", 8));
       Options opts;
       opts.num_threads = static_cast<int>(cli.get_int("threads", 4));
-      opts.machine = machine_of(cli);
-      opts.scheduler = Scheduler::kAuto;
-      opts.deadline_seconds = cli.get_double("deadline-ms", 0.0) / 1e3;
       opts.cache_mode = findb::CacheMode::kReadWrite;
       opts.cache_dir = dir;
       WallTimer t;
-      Result<Session> opened = Session::open(*spec.pipeline, opts);
-      if (!opened.ok()) throw opened.error();
-      Session session = std::move(opened).value();
+      Session session = open_session(cli, spec, Scheduler::kAuto, opts);
       std::printf("%-12s open %.1f ms, %s\n", key.c_str(), t.seconds() * 1e3,
                   session.warm_start() ? "warm (cache hit)"
                                        : "cold (searched + stored)");
       print_cache_events(session);
-      if (measure) {
+      if (cli.has("measure")) {
         const std::vector<Buffer> inputs = spec.make_inputs();
         Result<double> r = session.execute(inputs);
         if (!r.ok()) throw r.error();
@@ -627,7 +568,7 @@ void usage() {
       "  cache <stats|verify|evict|warm>  persistent schedule-cache tools\n"
       "  tune                         re-fit MachineModel weights from runs\n"
       "flags: --scale=N --machine=xeon|opteron|host\n"
-      "       --scheduler=dp|auto|greedy|hauto|manual|unfused|measured\n"
+      "       --scheduler=%s|%s\n"
       "       --threads=T --runs=R --verify --pooled --save=F --load=F\n"
       "       --cache=read|readwrite --cache-dir=DIR  (run through the\n"
       "         persistent schedule cache; a hit skips the search)\n"
@@ -645,88 +586,50 @@ void usage() {
       "       --report     (per-group predicted-vs-measured table + attempt "
       "ladder)\n"
       "exit codes: 0 ok, 2 usage, 3 invalid input, 4 budget/deadline "
-      "exhausted, 5 internal, 6 resource budget exhausted\n");
+      "exhausted, 5 internal, 6 resource budget exhausted\n",
+      scheduler_spellings().c_str(), kManual);
 }
 
-// Scripted callers dispatch on the exit code, so each error-code family
-// maps to a distinct one: usage=2, invalid input=3, budget/deadline=4,
-// internal (and everything unexpected)=5, resource budget=6.
-int exit_code_of(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kInvalidPipeline:
-    case ErrorCode::kInvalidSchedule:
-    case ErrorCode::kInvalidArgument:
-    case ErrorCode::kIoError:
-      return 3;
-    case ErrorCode::kSearchBudgetExhausted:
-    case ErrorCode::kDeadlineExceeded:
-      return 4;
-    case ErrorCode::kResourceExhausted:
-      return 6;
-    case ErrorCode::kInternal:
-    case ErrorCode::kAllocationFailed:
-    case ErrorCode::kFaultInjected:
-      return 5;
-  }
-  return 5;
-}
+// Every subcommand with its known-flag table; all but `list` and `tune`
+// take an operand (the benchmark, or the cache subcommand).
+struct Command {
+  const char* name;
+  const char* const* flags;
+  int (*run)(const Cli& cli, const std::string& operand);
+  bool takes_operand = true;
+};
+constexpr Command kCommands[] = {
+    {"list", kListFlags, cmd_list, false},
+    {"show", kShowFlags, cmd_show},
+    {"schedule", kScheduleFlags, cmd_schedule},
+    {"dot", kDotFlags, cmd_dot},
+    {"run", kRunFlags, cmd_run},
+    {"verify", kVerifyFlags, cmd_verify},
+    {"cache", kCacheFlags, cmd_cache},
+    {"tune", kTuneFlags, cmd_tune, false},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands)
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) cmd = &c;
+  if (cmd == nullptr || (cmd->takes_operand && argc < 3)) {
     usage();
     return 2;
   }
-  const std::string cmd = argv[1];
   const Cli cli(argc, argv);
   try {
-    if (cmd == "list") {
-      check_flags(cli, kListFlags, cmd);
-      return cmd_list();
-    }
-    if (cmd == "tune") {
-      check_flags(cli, kTuneFlags, cmd);
-      return cmd_tune(cli);
-    }
-    if (argc < 3) {
-      usage();
-      return 2;
-    }
-    const std::string bench = argv[2];
-    if (cmd == "show") {
-      check_flags(cli, kShowFlags, cmd);
-      return cmd_show(cli, bench);
-    }
-    if (cmd == "schedule") {
-      check_flags(cli, kScheduleFlags, cmd);
-      return cmd_schedule(cli, bench);
-    }
-    if (cmd == "dot") {
-      check_flags(cli, kDotFlags, cmd);
-      return cmd_dot(cli, bench);
-    }
-    if (cmd == "run") {
-      check_flags(cli, kRunFlags, cmd);
-      return cmd_run(cli, bench);
-    }
-    if (cmd == "verify") {
-      check_flags(cli, kVerifyFlags, cmd);
-      return cmd_verify(cli, bench);
-    }
-    if (cmd == "cache") {
-      check_flags(cli, kCacheFlags, cmd);
-      return cmd_cache(cli, bench);
-    }
-    usage();
-    return 2;
+    check_flags(cli, cmd->flags, cmd->name);
+    return cmd->run(cli, cmd->takes_operand ? argv[2] : "");
   } catch (const UsageError& e) {
     std::fprintf(stderr, "usage error: %s\n", e.msg.c_str());
     return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error [%s]: %s\n", error_code_name(e.code()),
                  e.what());
-    return exit_code_of(e.code());
+    return exit_code(e.code());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "internal error: %s\n", e.what());
     return 5;

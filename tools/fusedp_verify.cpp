@@ -35,23 +35,6 @@ void usage() {
       "            6 resource budget exhausted\n");
 }
 
-int exit_code_of(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kInvalidPipeline:
-    case ErrorCode::kInvalidSchedule:
-    case ErrorCode::kInvalidArgument:
-    case ErrorCode::kIoError:
-      return 3;
-    case ErrorCode::kSearchBudgetExhausted:
-    case ErrorCode::kDeadlineExceeded:
-      return 4;
-    case ErrorCode::kResourceExhausted:
-      return 6;
-    default:
-      return 5;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +109,7 @@ int main(int argc, char** argv) {
   } catch (const Error& e) {
     std::fprintf(stderr, "error [%s]: %s\n", error_code_name(e.code()),
                  e.what());
-    return exit_code_of(e.code());
+    return exit_code(e.code());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "internal error: %s\n", e.what());
     return 5;
