@@ -21,23 +21,13 @@ Result<std::unique_ptr<PipelineService>> PipelineService::create(
        << ")";
     return R::failure(ErrorCode::kInvalidArgument, os.str());
   }
-  if (opts.workspaces < 0) {
-    std::ostringstream os;
-    os << "ServeOptions::workspaces must be >= 0 (got " << opts.workspaces
-       << ")";
-    return R::failure(ErrorCode::kInvalidArgument, os.str());
-  }
   if (opts.shard_threshold_pixels < 0)
     return R::failure(ErrorCode::kInvalidArgument,
                       "ServeOptions::shard_threshold_pixels must be >= 0");
-  if (opts.default_deadline_seconds < 0.0)
-    return R::failure(ErrorCode::kInvalidArgument,
-                      "ServeOptions::default_deadline_seconds must be >= 0");
 
   // The service always executes on the pool, at `workers` wide.
   opts.session.pool_backend = true;
   opts.session.num_threads = opts.workers;
-  if (opts.workspaces == 0) opts.workspaces = opts.workers;
 
   // Reuse the session facade's validation, scheduling and plan build (one
   // search, one compile, one coded failure path).  The service runs the
@@ -66,8 +56,8 @@ PipelineService::PipelineService(const Pipeline& pl, ServeOptions opts,
   sharded_ =
       opts_.workers > 1 && output_pixels >= opts_.shard_threshold_pixels;
 
-  free_ws_.reserve(static_cast<std::size_t>(opts_.workspaces));
-  for (int i = 0; i < opts_.workspaces; ++i)
+  free_ws_.reserve(static_cast<std::size_t>(opts_.workers));
+  for (int i = 0; i < opts_.workers; ++i)
     free_ws_.push_back(std::make_unique<Workspace>());
 
   // Coalesced tasks need live workers to run at all (the pool starts
@@ -175,11 +165,9 @@ Result<PipelineService::Ticket> PipelineService::submit(ServeRequest req) {
     return R::failure(ErrorCode::kResourceExhausted, os.str());
   }
 
-  const double dl_seconds = req.deadline_seconds < 0.0
-                                ? opts_.default_deadline_seconds
-                                : req.deadline_seconds;
-  const Deadline deadline =
-      dl_seconds > 0.0 ? Deadline::after(dl_seconds) : Deadline();
+  const Deadline deadline = req.deadline_seconds > 0.0
+                               ? Deadline::after(req.deadline_seconds)
+                               : Deadline();
 
   auto pending = std::make_shared<detail::PendingReply>();
   auto request = std::make_shared<ServeRequest>(std::move(req));

@@ -50,23 +50,19 @@ namespace fusedp {
 
 struct ServeOptions {
   // Pool lanes this service uses: sharded frames split across this many
-  // lanes; coalesced frames run up to this many concurrently.
+  // lanes; coalesced frames run up to this many concurrently.  The service
+  // also holds this many reusable Workspaces: a request beyond them blocks
+  // (inside its queue wait) until one frees.
   int workers = 1;
   // Admission bound: maximum requests in flight (queued + executing).
   // Submissions beyond it are rejected immediately with
   // kResourceExhausted, never queued.
   int max_queue = 64;
-  // Reusable Workspaces in the checkout pool; 0 means `workers`.  A
-  // request beyond this blocks (inside its queue-wait) until one frees.
-  int workspaces = 0;
   // Frames with at least this many output pixels are sharded across all
   // workers; smaller frames coalesce as single-lane tasks.  The pipeline's
   // output domains are fixed at finalize time, so the decision is made
   // once, at create().
   std::int64_t shard_threshold_pixels = std::int64_t{1} << 20;
-  // Default per-request deadline (seconds since submit, queue wait
-  // included); 0 = none.  ServeRequest::deadline_seconds overrides.
-  double default_deadline_seconds = 0.0;
   // Execution/scheduling options for the shared plan.  pool_backend is
   // forced on and num_threads is set to `workers` by create().
   Options session;
@@ -75,9 +71,8 @@ struct ServeOptions {
 struct ServeRequest {
   std::vector<Buffer> inputs;  // pipeline input order
   TaskPriority priority = TaskPriority::kInteractive;
-  // <0: use ServeOptions::default_deadline_seconds; 0: no deadline;
-  // >0: seconds from submit (queue wait counts against it).
-  double deadline_seconds = -1.0;
+  // Seconds from submit (queue wait counts against it); <= 0: no deadline.
+  double deadline_seconds = 0.0;
 };
 
 struct ServeReply {

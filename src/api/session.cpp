@@ -46,7 +46,7 @@ std::uint64_t Options::schedule_fingerprint() const {
   h.add_str("fusedp-options-v1");
   h.add_i32(static_cast<std::int32_t>(scheduler));
   h.add_u64(max_states);
-  h.add_i32(bounded_initial_limit);
+  h.add_i32(kBoundedInitialLimit);
   h.add_i64(greedy_t1);
   h.add_i64(greedy_t2);
   h.add_f64(greedy_tolerance);
@@ -71,8 +71,6 @@ findb::FindbOptions Options::findb_options() const {
   fo.dir = cache_dir;
   fo.mode = cache_mode;
   fo.lock_timeout_seconds = cache_lock_timeout_seconds;
-  fo.max_entries = cache_max_entries;
-  fo.max_bytes = cache_max_bytes;
   fo.memory_entries = cache_memory_entries;
   fo.git_sha = build_git_sha();
   return fo;
@@ -128,13 +126,6 @@ Result<bool> validate_options(const Options& opts) {
     flag(
         "Options::max_states = 0 leaves the DP search no budget at all; "
         "pick a positive budget or Scheduler::kGreedy/kUnfused");
-  if (opts.scheduler == Scheduler::kAuto && opts.bounded_initial_limit < 2) {
-    std::ostringstream os;
-    os << "Options::bounded_initial_limit must be >= 2 (got "
-       << opts.bounded_initial_limit
-       << "): the bounded-DP ladder halves it down to 2";
-    flag(os.str());
-  }
   const bool uses_greedy =
       opts.scheduler == Scheduler::kAuto || opts.scheduler == Scheduler::kGreedy;
   if (uses_greedy && (opts.greedy_t1 <= 0 || opts.greedy_t2 <= 0))

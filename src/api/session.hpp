@@ -127,9 +127,6 @@ struct Options : ExecOptions, AutoScheduleOptions {
   // cache probe and lock wait too, so a wedged cache cannot stall open.
   findb::CacheMode cache_mode = findb::CacheMode::kOff;
   std::string cache_dir;
-  // Compaction budgets for the cache directory (kReadWrite stores only).
-  std::int64_t cache_max_entries = 256;
-  std::int64_t cache_max_bytes = std::int64_t{16} << 20;
   // Bound on waiting for the cache directory lock (seconds, >= 0).
   double cache_lock_timeout_seconds = 0.5;
   // In-process LRU hot tier, shared across sessions (records; 0 = off).
@@ -175,7 +172,8 @@ struct Options : ExecOptions, AutoScheduleOptions {
   // grouping runs, not which grouping wins.
   std::uint64_t schedule_fingerprint() const;
 
-  // The findb configuration implied by the cache_* fields.
+  // The findb configuration implied by the cache_* fields.  Compaction
+  // uses FindbOptions' default budgets (256 records, 16 MiB).
   findb::FindbOptions findb_options() const;
 };
 

@@ -156,8 +156,7 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
   // Tier 2: group-size-bounded DP passes (the building block of
   // Algorithm 3), shrinking the limit — and with it the state space —
   // until one fits the remaining budget.
-  for (int limit = std::max(2, opts.bounded_initial_limit);
-       !done && limit >= 2; limit /= 2) {
+  for (int limit = kBoundedInitialLimit; !done && limit >= 2; limit /= 2) {
     if (limit >= pl.num_stages()) continue;  // would repeat the full DP
     done = attempt(ScheduleTier::kBoundedDp, limit,
                    [&](TierAttempt& a) { return run_dp(a, limit); });

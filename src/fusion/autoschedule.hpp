@@ -33,13 +33,15 @@ enum class ScheduleTier : std::uint8_t {
 
 const char* schedule_tier_name(ScheduleTier tier);
 
+// First bounded-DP fallback group limit; halved per retry down to 2.  The
+// schedule cache key hashes it (Options::schedule_fingerprint).
+inline constexpr int kBoundedInitialLimit = 8;
+
 struct AutoScheduleOptions {
   // Wall-clock budget across all search tiers; <= 0 means no deadline.
   double deadline_seconds = 0.0;
   // DP state budget per DP attempt (full and bounded tiers).
   std::uint64_t max_states = 50'000'000;
-  // First bounded-DP fallback group limit; halved per retry down to 2.
-  int bounded_initial_limit = 8;
   // Configuration for the greedy tier.
   std::int64_t greedy_t1 = 64;
   std::int64_t greedy_t2 = 128;

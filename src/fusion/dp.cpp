@@ -103,6 +103,11 @@ std::uint64_t hash_groups(std::span<const NodeSet> groups) {
 
 constexpr std::size_t kInitialSlots = 1024;  // power of two
 
+// Case II enumerates all set partitions of the successor frontier (Bell(k)
+// of them) up to this width; wider frontiers fall back to the
+// all-singletons partition.  Bell(6) = 203.
+constexpr int kMaxPartitionWidth = 6;
+
 }  // namespace
 
 DpFusion::DpFusion(const Pipeline& pl, const CostModel& model, DpOptions opts)
@@ -428,7 +433,7 @@ std::uint32_t DpFusion::solve(std::span<const NodeSet> groups,
       }
       take(solve(parts, depth + 1), cost_g, true);
     };
-    if (ready.size() <= opts_.max_partition_width) {
+    if (ready.size() <= kMaxPartitionWidth) {
       for_each_partition(ready, std::ref(try_partition));
     } else {
       // Wide-frontier fallback: full Bell-number enumeration is

@@ -45,10 +45,6 @@ struct DpOptions {
   // Maximum number of original stages per group (paper's groupLimit l);
   // <= 0 means unbounded.
   int group_limit = 0;
-  // Case II enumerates all set partitions of the successor frontier
-  // (Bell(k) of them) up to this width; wider frontiers fall back to the
-  // all-singletons partition.  Bell(6) = 203.
-  int max_partition_width = 6;
   // Safety valve: abort (throw Error with kSearchBudgetExhausted) past this
   // many DP states.
   std::uint64_t max_states = 50'000'000;

@@ -4,15 +4,23 @@
 
 namespace fusedp {
 
+namespace {
+
+// First-pass group limit.  2 keeps the first pass (on the full stage graph,
+// where parallel chains multiply the state space) small; later passes run
+// on ever-smaller condensed graphs.
+constexpr int kInitialLimit = 2;
+constexpr int kLimitGrowth = 2;  // multiplicative growth of the limit
+
+}  // namespace
+
 IncFusion::IncFusion(const Pipeline& pl, const CostModel& model,
                      IncOptions opts)
     : pl_(&pl), model_(&model), opts_(opts) {}
 
 Grouping IncFusion::run() {
   WallTimer timer;
-  FUSEDP_CHECK_CODE(opts_.initial_limit >= 1 && opts_.step >= 2,
-                    ErrorCode::kInvalidArgument, "bad incremental options");
-  int limit = opts_.initial_limit;
+  int limit = kInitialLimit;
   QuotientGraph q = QuotientGraph::identity(*pl_);
   Grouping current;
   // One DpFusion for all passes: group costs and feasibility verdicts of
@@ -39,7 +47,7 @@ Grouping IncFusion::run() {
     if (dopts.group_limit == 0) break;  // final unbounded pass done
     // Coalesce the grouping into super-nodes and raise the limit.
     q = QuotientGraph::condense(*pl_, current);
-    limit *= opts_.step;
+    limit *= kLimitGrowth;
   }
   stats_.seconds = timer.seconds();
   return current;

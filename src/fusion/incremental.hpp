@@ -1,8 +1,9 @@
 // Bounded incremental grouping (paper Section 5, Algorithm 3).
 //
-// Runs the DP with a group-size limit l, coalesces the resulting groups into
-// super-nodes of a quotient graph, multiplies l by `step`, and repeats until
-// the limit covers the whole pipeline (the final iteration runs unbounded).
+// Runs the DP with a group-size limit l (starting at 2), coalesces the
+// resulting groups into super-nodes of a quotient graph, doubles l, and
+// repeats until the limit covers the whole pipeline (the final iteration
+// runs unbounded).
 // This keeps DP time bounded on large graphs (paper Table 2: camera pipeline
 // and pyramid blending).
 #pragma once
@@ -12,11 +13,6 @@
 namespace fusedp {
 
 struct IncOptions {
-  // First-pass group limit.  2 keeps the first pass (on the full stage
-  // graph, where parallel chains multiply the state space) small; later
-  // passes run on ever-smaller condensed graphs.
-  int initial_limit = 2;
-  int step = 2;            // multiplicative growth of the limit
   std::uint64_t max_states = 50'000'000;
   // Wall-clock deadline over all iterations combined; <= 0 means none.
   // Each DP pass runs under the time remaining when it starts.

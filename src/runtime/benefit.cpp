@@ -163,8 +163,7 @@ double measure_stage_ms(const CompiledStage& cs, StageHarness& h,
 void apply_never_pessimize(ExecutablePlan& plan, bool allow_fma,
                            bool fast_transcendentals) {
   const Pipeline& pl = *plan.pipeline;
-  const CompileOptions plain{/*fuse_superops=*/false, /*reg_alloc=*/false,
-                             /*vector_loads=*/false};
+  const CompileOptions plain{/*fuse_superops=*/false, /*vector=*/false};
   // Demotion needs a real, repeatable loss: micro-runs on short rows are
   // noisy, and a wrong demotion costs real speedup while a wrong keep costs
   // only what the micro-run already showed to be small.

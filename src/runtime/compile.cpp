@@ -78,7 +78,7 @@ class StageCompiler {
       compact();
     }
     allocate_registers();
-    cs_.vector_loads = opts_.vector_loads;
+    cs_.vector_loads = opts_.vector;
     return std::move(cs_);
   }
 
@@ -458,7 +458,7 @@ class StageCompiler {
   void allocate_registers() {
     const std::int32_t n = cs_.num_slots();
     cs_.reg.assign(static_cast<std::size_t>(n), -1);
-    if (!opts_.reg_alloc) {
+    if (!opts_.vector) {
       // Identity assignment: one row per op, the PR-baseline program shape
       // (the root still writes the caller's row; its slot stays unused so
       // the arena footprint matches the unallocated layout exactly).

@@ -161,13 +161,14 @@ struct CompiledStage {
 };
 
 // Backend selection for compile_stage/lower.  The default produces the
-// vectorized backend (superop fusion + row-register allocation); disabling
-// both reproduces the plain one-row-per-op program, kept as the A/B
-// baseline for bench_vector.  Outputs are bit-identical either way.
+// vectorized backend (superop fusion, row-register allocation, forwarding
+// and closed-form interior gathers); disabling both reproduces the plain
+// one-row-per-op program, kept as the A/B baseline for bench_vector.
+// Outputs are bit-identical either way.
 struct CompileOptions {
   bool fuse_superops = true;
-  bool reg_alloc = true;
-  bool vector_loads = true;  // forwarding + closed-form interior gathers
+  // Row-register allocation plus CompiledStage::vector_loads.
+  bool vector = true;
 };
 
 // Lowers `s` (kMap only; reductions have no body and yield an invalid

@@ -120,59 +120,30 @@ void Workspace::resync_charge() noexcept {
 // after every allocation has succeeded, so a bad_alloc mid-prepare leaves
 // the workspace with no half-initialized (dangling or stale) views — it
 // stays destructible and a later prepare()/run() starts from a clean slate.
-void Workspace::prepare(const ExecutablePlan& plan) {
-  const Pipeline& pl = *plan.pipeline;
-  const std::size_t n = static_cast<std::size_t>(pl.num_stages());
-  // Simulate the post-prepare footprint: materialized stages end up at
-  // their domain volume (reused or freshly allocated); everything else —
-  // stale buffers from a previous plan, pooled slots — is kept as-is.
-  std::int64_t target = 0;
-  for (int s = 0; s < pl.num_stages(); ++s) {
-    const std::size_t si = static_cast<std::size_t>(s);
-    if (plan.materialized[si])
-      target += pl.stage(s).domain.volume();
-    else if (si < buffers_.size())
-      target += buffers_[si].volume();
-  }
-  for (const Buffer& b : slots_) target += b.volume();
-  admit(target);  // throws kResourceExhausted before any allocation
-
-  views_.assign(n, BufferView{});
-  buffers_.resize(n);
-  try {
-    for (int s = 0; s < pl.num_stages(); ++s) {
-      if (!plan.materialized[static_cast<std::size_t>(s)]) continue;
-      ensure_buffer(buffers_[static_cast<std::size_t>(s)],
-                    pl.stage(s).domain.extents());
-    }
-  } catch (...) {
-    resync_charge();
-    throw;
-  }
-  for (int s = 0; s < pl.num_stages(); ++s)
-    if (plan.materialized[static_cast<std::size_t>(s)])
-      views_[static_cast<std::size_t>(s)] =
-          buffers_[static_cast<std::size_t>(s)].view();
-  resync_charge();
-}
-
 void Workspace::prepare(const ExecutablePlan& plan,
                         const StorageAssignment& storage) {
   const Pipeline& pl = *plan.pipeline;
   const std::size_t n = static_cast<std::size_t>(pl.num_stages());
+  // An empty assignment gives every materialized stage its own buffer.
+  const auto slot_of = [&storage](std::size_t s) {
+    return storage.slot.empty() ? -1 : storage.slot[s];
+  };
+  // Simulate the post-prepare footprint: slots grow to their assigned
+  // capacity, materialized unpooled stages end up at their domain volume
+  // (reused or freshly allocated), and every other buffer — stale ones
+  // from a previous plan — is kept as-is.
   std::int64_t target = 0;
   for (std::size_t i = 0; i < storage.slot_floats.size(); ++i) {
     const std::int64_t have = i < slots_.size() ? slots_[i].volume() : 0;
     target += std::max(have, storage.slot_floats[i]);
   }
-  for (int s = 0; s < pl.num_stages(); ++s) {
-    const std::size_t si = static_cast<std::size_t>(s);
-    if (plan.materialized[si] && storage.slot[si] < 0)
-      target += pl.stage(s).domain.volume();
-    else if (si < buffers_.size())
-      target += buffers_[si].volume();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (plan.materialized[s] && slot_of(s) < 0)
+      target += pl.stage(static_cast<int>(s)).domain.volume();
+    else if (s < buffers_.size())
+      target += buffers_[s].volume();
   }
-  admit(target);
+  admit(target);  // throws kResourceExhausted before any allocation
 
   views_.assign(n, BufferView{});
   buffers_.resize(n);
@@ -184,26 +155,22 @@ void Workspace::prepare(const ExecutablePlan& plan,
         Buffer fresh({storage.slot_floats[i]});
         slots_[i] = std::move(fresh);
       }
-    for (int s = 0; s < pl.num_stages(); ++s) {
-      if (!plan.materialized[static_cast<std::size_t>(s)]) continue;
-      if (storage.slot[static_cast<std::size_t>(s)] < 0)
-        ensure_buffer(buffers_[static_cast<std::size_t>(s)],
-                      pl.stage(s).domain.extents());
-    }
+    for (std::size_t s = 0; s < n; ++s)
+      if (plan.materialized[s] && slot_of(s) < 0)
+        ensure_buffer(buffers_[s],
+                      pl.stage(static_cast<int>(s)).domain.extents());
   } catch (...) {
     resync_charge();
     throw;
   }
-  for (int s = 0; s < pl.num_stages(); ++s) {
-    if (!plan.materialized[static_cast<std::size_t>(s)]) continue;
-    const int slot = storage.slot[static_cast<std::size_t>(s)];
-    if (slot < 0) {
-      views_[static_cast<std::size_t>(s)] =
-          buffers_[static_cast<std::size_t>(s)].view();
-    } else {
-      views_[static_cast<std::size_t>(s)] = dense_view_over(
-          slots_[static_cast<std::size_t>(slot)].data(), pl.stage(s).domain);
-    }
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!plan.materialized[s]) continue;
+    const int slot = slot_of(s);
+    views_[s] = slot < 0
+                    ? buffers_[s].view()
+                    : dense_view_over(
+                          slots_[static_cast<std::size_t>(slot)].data(),
+                          pl.stage(static_cast<int>(s)).domain);
   }
   resync_charge();
 }
@@ -221,8 +188,7 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
       plan_(lower(pl, grouping,
                   CompileOptions{/*fuse_superops=*/opts.vector_backend &&
                                      opts.superop_fusion,
-                                 /*reg_alloc=*/opts.vector_backend,
-                                 /*vector_loads=*/opts.vector_backend})),
+                                 /*vector=*/opts.vector_backend})),
       opts_(opts) {
   FUSEDP_CHECK_CODE(opts_.num_threads >= 1, ErrorCode::kInvalidArgument,
                     "need at least one thread");
@@ -280,10 +246,7 @@ void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
                           pl_->input(i).domain.volume(),
                       ErrorCode::kInvalidArgument,
                       "input " + pl_->input(i).name + " extent mismatch");
-  if (opts_.pooled_storage)
-    ws.prepare(plan_, storage_);
-  else
-    ws.prepare(plan_);
+  ws.prepare(plan_, storage_);
 
   if (obs == nullptr) {
     // Unobserved fast path: no clock reads, no records, bit-identical work.

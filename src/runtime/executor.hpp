@@ -113,8 +113,11 @@ struct RunKnobs {
 // reusable for a leaner retry.
 class Workspace {
  public:
-  void prepare(const ExecutablePlan& plan);
-  void prepare(const ExecutablePlan& plan, const StorageAssignment& storage);
+  // Allocates (or reuses) storage for `plan`.  An empty `storage` gives
+  // every materialized stage its own buffer; otherwise stages with
+  // storage.slot[s] >= 0 become views into the shared slots.
+  void prepare(const ExecutablePlan& plan,
+               const StorageAssignment& storage = {});
 
   // Resolved view of a materialized stage (dedicated or pooled).
   BufferView stage_view(int id) const {

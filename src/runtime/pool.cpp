@@ -288,13 +288,18 @@ void WorkPool::parallel_for(std::int64_t total,
   // unclaimed tile remains, including the initial ranges of lane tasks
   // still sitting in the dispatch queue (their work was stolen).  `done`
   // flips under the same lock acquisition the final wait holds, closing
-  // the race against a straggler task starting after the join.
+  // the race against a straggler task starting after the join.  The error
+  // moves out of the job under that lock too: a straggler may drop the last
+  // reference to the job on its worker, and the job's destructor must then
+  // not release the exception this thread is rethrowing.
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(job->mu);
     job->cv.wait(lock, [&] { return job->active == 0; });
     job->done = true;
+    error = std::move(job->first_error);
   }
-  if (job->first_error != nullptr) std::rethrow_exception(job->first_error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace fusedp

@@ -476,9 +476,7 @@ ProbeOutcome decode_record(const std::string& bytes,
 
 // --- FindDb --------------------------------------------------------------
 
-FindDb::FindDb(FindbOptions opts) : opts_(std::move(opts)) {
-  if (opts_.git_sha.empty()) opts_.git_sha = "";  // explicit: empty = no check
-}
+FindDb::FindDb(FindbOptions opts) : opts_(std::move(opts)) {}
 
 CacheCounters FindDb::counters() const {
   const auto get = [](const std::atomic<std::int64_t>& counter) {
@@ -526,8 +524,7 @@ ProbeResult FindDb::probe(const CacheKey& key, const Deadline* deadline) {
   note(res.outcome);
   if (res.outcome == ProbeOutcome::kHit && opts_.memory_entries > 0)
     memory_tier().put(mem_key, res.record, opts_.memory_entries);
-  if (outcome_evicts(res.outcome) && opts_.mode == CacheMode::kReadWrite &&
-      opts_.evict_bad)
+  if (outcome_evicts(res.outcome) && opts_.mode == CacheMode::kReadWrite)
     evict_bad_record(key);
   res.seconds = timer.seconds();
   return res;

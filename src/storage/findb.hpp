@@ -131,9 +131,6 @@ struct FindbOptions {
   // Expected build SHA; records carrying a different value are kStaleSha.
   // Empty disables the check (tests, cross-build tooling).
   std::string git_sha;
-  // kReadWrite only: delete records that probe as corrupt/truncated/
-  // version-skewed/stale/mismatched so they stop costing a probe each open.
-  bool evict_bad = true;
 };
 
 // Running counters for one FindDb handle (monotonic; CLI `cache stats`
@@ -206,7 +203,8 @@ class FindDb {
  private:
   ProbeResult probe_disk(const CacheKey& key, const Deadline* deadline);
   void note(ProbeOutcome outcome);
-  // Best-effort removal of a bad record (kReadWrite + evict_bad only).
+  // Best-effort removal of a bad record (kReadWrite only), so it stops
+  // costing a probe each open.
   void evict_bad_record(const CacheKey& key);
   // Enforces max_entries/max_bytes, oldest-mtime-first; also sweeps stale
   // temp files.  Caller holds the exclusive lock.

@@ -425,8 +425,7 @@ TEST(SuperOpFusionTest, LegacyOptionsDisableFusion) {
 
   CompileOptions legacy;
   legacy.fuse_superops = false;
-  legacy.reg_alloc = false;
-  legacy.vector_loads = false;
+  legacy.vector = false;
   const CompiledStage cs = compile_stage(pl.stage(0), legacy);
   ASSERT_TRUE(cs.valid());
   EXPECT_EQ(cs.fused, 0);
@@ -484,8 +483,7 @@ TEST(RegisterAllocationTest, LegacyOptionsGiveIdentityAssignment) {
   const Pipeline& pl = *spec.pipeline;
   CompileOptions legacy;
   legacy.fuse_superops = false;
-  legacy.reg_alloc = false;
-  legacy.vector_loads = false;
+  legacy.vector = false;
   bool saw_reuse = false;
   for (int s = 0; s < pl.num_stages(); ++s) {
     const CompiledStage plain = compile_stage(pl.stage(s), legacy);

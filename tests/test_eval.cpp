@@ -32,7 +32,7 @@ void expect_evaluators_agree(const Pipeline& pl,
   for (const bool vector : {false, true}) {
     SCOPED_TRACE(vector ? "vector program" : "plain program");
     const CompiledStage cs =
-        compile_stage(st, CompileOptions{vector, vector, vector});
+        compile_stage(st, CompileOptions{vector, vector});
     CompiledRowEvaluator ev;
     std::int64_t c[kMaxDims];
     for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];

@@ -327,7 +327,8 @@ TEST(FindDbTest, CorruptRecordsAreCodedAndEvicted) {
     EXPECT_EQ(pr.outcome, c.want) << pr.detail;
     EXPECT_TRUE(findb::outcome_evicts(pr.outcome));
     EXPECT_GE(db.counters().bad_records, 1);
-    // evict_bad removed the damaged file; the next probe is a clean miss.
+    // The kReadWrite probe evicted the damaged file; the next probe is a
+    // clean miss.
     EXPECT_EQ(db.probe(key).outcome, ProbeOutcome::kMiss);
   }
 }
@@ -342,7 +343,7 @@ TEST(FindDbTest, StaleGitShaInvalidates) {
 
   FindbOptions reader = rw_options(dir.path);
   reader.git_sha = "feedfacecafe";  // != record's abcdef123456
-  reader.evict_bad = false;         // keep the record for the second probe
+  reader.mode = CacheMode::kRead;   // never evicts: keep the record
   FindDb dbr(reader);
   ProbeResult pr = dbr.probe(test_key());
   EXPECT_EQ(pr.outcome, ProbeOutcome::kStaleSha) << pr.detail;

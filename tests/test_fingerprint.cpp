@@ -8,6 +8,9 @@
 // thread counts — must NOT perturb the key, or the cache would never hit).
 #include "support/fingerprint.hpp"
 
+#include <iterator>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "api/session.hpp"
@@ -145,6 +148,28 @@ TEST(OptionsFingerprintTest, CoversScheduleKnobsOnly) {
   cache.cache_mode = findb::CacheMode::kReadWrite;
   cache.cache_dir = "/tmp/x";
   EXPECT_EQ(cache.schedule_fingerprint(), fp);
+}
+
+// The cache key of a default Options under every scheduler, pinned to the
+// digests already stored in existing find-db directories: a change here
+// orphans every cached record, so it must be deliberate, never a side effect
+// of refactoring the option structs.
+TEST(OptionsFingerprintTest, DefaultKeysArePinned) {
+  const std::pair<Scheduler, std::uint64_t> pinned[] = {
+      {Scheduler::kAuto, 0x599035fad2d77dedull},
+      {Scheduler::kDp, 0xfe6b597f8286526aull},
+      {Scheduler::kGreedy, 0xd614532187ec46ebull},
+      {Scheduler::kHalideAuto, 0x38d2476163611f10ull},
+      {Scheduler::kUnfused, 0xcc42a4d30d3fab49ull},
+      {Scheduler::kMeasured, 0xaa48b052b12a01e8ull},
+      {Scheduler::kIncremental, 0x269f687fa90068e7ull},
+  };
+  ASSERT_EQ(std::size(pinned), std::size(kSchedulers));
+  for (const auto& [which, digest] : pinned) {
+    Options o;
+    o.scheduler = which;
+    EXPECT_EQ(o.schedule_fingerprint(), digest) << scheduler_name(which);
+  }
 }
 
 // Under kMeasured the winner is a wall-clock verdict, so each execution

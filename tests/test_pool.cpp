@@ -132,7 +132,11 @@ TEST(WorkPool, ExternalCancelSuppressesClaimsWithoutThrowing) {
 TEST(WorkPool, DeadlineCancelsMidJobAcrossLanes) {
   WorkPool& pool = WorkPool::instance();
   for (const int lanes : {1, 3}) {
-    const Deadline dl = Deadline::after(2e-3);
+    // Long enough that worker start-up (slow under sanitizers) cannot use
+    // it up before lane 0 claims its first tile; each lane then holds its
+    // first tile until the deadline passes, so the deadline always fires
+    // mid-job.
+    const Deadline dl = Deadline::after(0.2);
     ParallelForOptions opts;
     opts.lanes = lanes;
     opts.deadline = &dl;
@@ -141,7 +145,8 @@ TEST(WorkPool, DeadlineCancelsMidJobAcrossLanes) {
       pool.parallel_for(10000, opts, [&](LaneContext& lc) {
         for (std::int64_t t = lc.claim(); t >= 0; t = lc.claim()) {
           executed.fetch_add(1);
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          while (!dl.expired())
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
       });
       FAIL() << "deadline did not fire (lanes=" << lanes << ")";

@@ -46,17 +46,13 @@ TEST(Serve, CreateValidatesOptions) {
     const char* what;
     ServeOptions opts;
   };
-  std::vector<Bad> cases(5);
+  std::vector<Bad> cases(3);
   cases[0].what = "workers";
   cases[0].opts.workers = 0;
   cases[1].what = "max_queue";
   cases[1].opts.max_queue = 0;
-  cases[2].what = "workspaces";
-  cases[2].opts.workspaces = -1;
-  cases[3].what = "shard_threshold_pixels";
-  cases[3].opts.shard_threshold_pixels = -1;
-  cases[4].what = "default_deadline_seconds";
-  cases[4].opts.default_deadline_seconds = -0.5;
+  cases[2].what = "shard_threshold_pixels";
+  cases[2].opts.shard_threshold_pixels = -1;
   for (const Bad& b : cases) {
     auto r = PipelineService::create(*spec.pipeline, b.opts);
     ASSERT_FALSE(r.ok()) << b.what;

@@ -206,9 +206,6 @@ TEST(SchedulerTableTest, DpAndIncrementalHonourTheDeadline) {
 
 TEST(OptionsValidationTest, RejectsDegenerateLadderAndGreedyConfig) {
   Options o;
-  o.bounded_initial_limit = 1;
-  EXPECT_FALSE(validate_options(o).ok());
-  o = Options{};
   o.greedy_t1 = 0;
   EXPECT_FALSE(validate_options(o).ok());
   o = Options{};
@@ -637,11 +634,9 @@ TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
 
   o.deadline_seconds = 1.5;
   o.max_states = 1234;
-  o.bounded_initial_limit = 4;
   const AutoScheduleOptions ao = o;
   EXPECT_EQ(ao.deadline_seconds, 1.5);
   EXPECT_EQ(ao.max_states, 1234u);
-  EXPECT_EQ(ao.bounded_initial_limit, 4);
 }
 
 }  // namespace

@@ -1,17 +1,7 @@
 #!/usr/bin/env python3
-"""Compare or gate fusedp BENCH_*.json artifacts.
+"""Gate fusedp BENCH_*.json artifacts.
 
 Two modes:
-
-  diff: compare a baseline artifact against a candidate and fail on
-        per-pipeline regressions beyond a threshold.
-
-            bench_compare.py diff BASE.json NEW.json [--threshold=0.05]
-
-        Pipelines are matched by name; the primary metric is the artifact's
-        per-pipeline ns/pixel (vector when present, else the per-thread ms
-        of scaling artifacts).  Exit 1 if any pipeline slows down by more
-        than the threshold fraction, with a per-pipeline report either way.
 
   gate: enforce the never-pessimize invariant on a single BENCH_vector.json:
         every pipeline's vector/scalar speedup must be >= --min-speedup
@@ -31,7 +21,7 @@ Two modes:
 
             bench_compare.py tune-gate BENCH_tune.json [--epsilon=1e-6]
 
-Exit codes: 0 clean, 1 regression / gate failure, 2 usage or bad artifact.
+Exit codes: 0 clean, 1 gate failure, 2 usage or bad artifact.
 """
 
 import argparse
@@ -46,59 +36,6 @@ def load(path):
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def pipeline_metrics(doc):
-    """name -> (metric, unit); lower is better for every metric emitted."""
-    out = {}
-    for p in doc.get("pipelines", []):
-        name = p.get("name")
-        if name is None:
-            continue
-        if "vector_ns_per_pixel" in p:
-            out[name] = (p["vector_ns_per_pixel"], "ns/px")
-        elif "ns_per_pixel" in p:
-            out[name] = (p["ns_per_pixel"], "ns/px")
-        elif "ms" in p:
-            out[name] = (p["ms"], "ms")
-    return out
-
-
-def cmd_diff(args):
-    base = pipeline_metrics(load(args.base))
-    cand = pipeline_metrics(load(args.candidate))
-    if not base or not cand:
-        print("bench_compare: no per-pipeline metrics found", file=sys.stderr)
-        return 2
-    failures = []
-    for name in sorted(base):
-        if name not in cand:
-            print(f"  {name:<12} missing from candidate")
-            continue
-        b, unit = base[name]
-        c, _ = cand[name]
-        if b <= 0:
-            continue
-        ratio = c / b
-        mark = ""
-        if ratio > 1.0 + args.threshold:
-            mark = "  REGRESSED"
-            failures.append((name, ratio))
-        elif ratio < 1.0 - args.threshold:
-            mark = "  improved"
-        print(f"  {name:<12} {b:10.3f} -> {c:10.3f} {unit}  "
-              f"({(ratio - 1.0) * 100.0:+.1f}%){mark}")
-    for name in sorted(set(cand) - set(base)):
-        print(f"  {name:<12} new in candidate")
-    if failures:
-        worst = max(failures, key=lambda f: f[1])
-        print(f"bench_compare: {len(failures)} pipeline(s) regressed beyond "
-              f"{args.threshold * 100:.0f}% (worst: {worst[0]} "
-              f"{(worst[1] - 1.0) * 100.0:+.1f}%)")
-        return 1
-    print("bench_compare: no pipeline regressed beyond "
-          f"{args.threshold * 100:.0f}%")
-    return 0
 
 
 def cmd_gate(args):
@@ -185,14 +122,6 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="mode", required=True)
-
-    d = sub.add_parser("diff", help="baseline vs candidate artifact")
-    d.add_argument("base")
-    d.add_argument("candidate")
-    d.add_argument("--threshold", type=float, default=0.05,
-                   help="allowed fractional slowdown per pipeline "
-                        "(default 0.05)")
-    d.set_defaults(func=cmd_diff)
 
     g = sub.add_parser("gate", help="never-pessimize gate on BENCH_vector")
     g.add_argument("artifact")
