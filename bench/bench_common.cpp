@@ -5,6 +5,7 @@
 #include "fusion/halide_auto.hpp"
 #include "fusion/incremental.hpp"
 #include "fusion/polymage_greedy.hpp"
+#include "runtime/compile.hpp"
 #include "runtime/executor.hpp"
 #include "support/fingerprint.hpp"
 #include "support/stats.hpp"
@@ -113,6 +114,8 @@ std::string provenance_json(const MachineModel& machine,
   std::string s;
   s += in + "\"provenance\": {\n";
   s += in + "  \"git_sha\": \"" + std::string(build_git_sha()) + "\",\n";
+  s += in + "  \"row_kernels\": \"" +
+       std::string(row_kernel_isa_name(active_row_kernels())) + "\",\n";
   s += in + "  \"machine_fingerprint\": \"" + hex64(fingerprint(machine)) +
        "\",\n";
   s += in + "  \"machine\": {\n";

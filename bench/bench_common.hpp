@@ -68,7 +68,8 @@ std::string exec_options_json(const ExecOptions& opts, const char* indent);
 
 // A complete `"provenance": {...},` JSON member (prefixed with `indent`,
 // trailing comma included) recording where the artifact's numbers came
-// from: the git commit the build was configured at, the full MachineModel
+// from: the git commit the build was configured at, the row-kernel table
+// the process runs (avx2 or baseline), the full MachineModel
 // (cache sizes, IMTS, cost weights), and the resolved executor options
 // (`"executor": null` when `exec` is null — scheduling-only benches).
 // Every BENCH_*.json carries this block so a number can always be traced

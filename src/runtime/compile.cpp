@@ -2,52 +2,19 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <map>
 #include <tuple>
 #include <utility>
 
 #include "ir/box.hpp"
-#include "runtime/fastmath.hpp"
+#include "runtime/row_kernels.hpp"
 #include "support/fault.hpp"
 
 namespace fusedp {
 
 namespace {
-
-std::int64_t clamp_i64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
-// Incremental floor_div(y * num + pre, den) + offset for y = y0, y0+1, ...
-// Each step is one add plus a carry test instead of an integer division;
-// the running value is exactly the closed form at every step (den > 0, any
-// sign of num), so scaled gathers stay bit-identical to the direct formula.
-class AffineStepper {
- public:
-  AffineStepper(std::int64_t y0, std::int64_t num, std::int64_t den,
-                std::int64_t pre, std::int64_t offset)
-      : den_(den), dq_(floor_div(num, den)), dr_(num - dq_ * den) {
-    const std::int64_t nmr = y0 * num + pre;
-    const std::int64_t q = floor_div(nmr, den);
-    r_ = nmr - q * den;  // in [0, den)
-    q_ = q + offset;
-  }
-  std::int64_t value() const { return q_; }
-  void step() {
-    q_ += dq_;
-    r_ += dr_;  // dr_ in [0, den): at most one carry
-    if (r_ >= den_) {
-      r_ -= den_;
-      ++q_;
-    }
-  }
-
- private:
-  std::int64_t den_, dq_, dr_, q_ = 0, r_ = 0;
-};
 
 // Value-numbering key: op + operand slots + the op-specific payload.  Two
 // ops with equal keys compute identical rows, so the second one is
@@ -656,604 +623,66 @@ RegionTemplate build_region_template(
   return t;
 }
 
+// ---- Row-kernel table selection --------------------------------------------
+
 namespace {
 
-// ---- SIMD superop kernels --------------------------------------------------
-//
-// One instantiation per operand shape, selected through a function-pointer
-// table so the hot loop contains no per-element dispatch.  All shape flags
-// are template parameters: the compiler sees straight-line loops it can
-// vectorize.  Default mode performs exactly the two rounded operations of
-// the unfused pair, in the same operand order; FMA instantiations contract
-// to one rounding and exist only behind ExecOptions::allow_fma.
-
-// Element operation of a fusable binary: exactly apply_binary's expression
-// for that op (std::min/std::max included), so a fused chain produces the
-// same bits as the two ops it replaced.
-template <Op O>
-inline float chain_bin(float a, float b) {
-  if constexpr (O == Op::kAdd)
-    return a + b;
-  else if constexpr (O == Op::kSub)
-    return a - b;
-  else if constexpr (O == Op::kMul)
-    return a * b;
-  else if constexpr (O == Op::kMin)
-    return std::min(a, b);
-  else
-    return std::max(a, b);
+// The widest table this process can run, probed once.
+RowKernelIsa host_row_kernels() {
+  static const RowKernelIsa isa = [] {
+#if FUSEDP_HAVE_AVX2_ROW_KERNELS
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+      return RowKernelIsa::kAvx2;
+#endif
+    return RowKernelIsa::kBaseline;
+  }();
+  return isa;
 }
 
-// dst = m op z (side 1) or z op m (side 2), m = inner OP2 of x with y/yimm.
-// YI: y is the immediate `yimm` (the inner op was in immediate form); YS2
-// mirrors the inner imm_side (imm OP2 x vs x OP2 imm — operand order
-// matters for NaN-payload propagation and for kSub).  ZI: z is the
-// immediate `zimm`; ZS2 mirrors super_side.  Each instantiation is one
-// straight-line loop with no per-element dispatch.
-template <Op OP2, bool YI, bool YS2, Op OP, bool ZI, bool ZS2>
-void chain_kernel(float* dst, const float* x, const float* y, float yimm,
-                  const float* z, float zimm, std::size_t n) {
-  FUSEDP_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const float xv = x[j];
-    const float yv = YI ? yimm : y[j];
-    const float m = YS2 ? chain_bin<OP2>(yv, xv) : chain_bin<OP2>(xv, yv);
-    const float zv = ZI ? zimm : z[j];
-    dst[j] = ZS2 ? chain_bin<OP>(zv, m) : chain_bin<OP>(m, zv);
-  }
-}
+// detail::ScopedRowKernels' selection; -1 when no override is active.
+std::atomic<int> g_row_kernels_override{-1};
 
-using ChainFn = void (*)(float*, const float*, const float*, float,
-                         const float*, float, std::size_t);
+using RunRowFn = void (*)(const row_kernels::RowFrame&);
 
-// Fusable chain ops; chain_op_index must agree with this order.
-constexpr Op kChainOps[5] = {Op::kAdd, Op::kSub, Op::kMul, Op::kMin,
-                             Op::kMax};
-
-inline int chain_op_index(Op op) {
-  switch (op) {
-    case Op::kAdd: return 0;
-    case Op::kSub: return 1;
-    case Op::kMul: return 2;
-    case Op::kMin: return 3;
-    default:       return 4;  // kMax
-  }
-}
-
-// Index layout: ((inner * 5) + outer) * 16 + bits, bits = YI | YS2<<1 |
-// ZI<<2 | ZS2<<3.
-template <std::size_t... I>
-constexpr std::array<ChainFn, sizeof...(I)> make_chain_table(
-    std::index_sequence<I...>) {
-  return {{&chain_kernel<kChainOps[I / 80], (I & 1) != 0, (I & 2) != 0,
-                         kChainOps[(I / 16) % 5], (I & 4) != 0,
-                         (I & 8) != 0>...}};
-}
-
-constexpr std::array<ChainFn, 400> kChainKernels =
-    make_chain_table(std::make_index_sequence<400>{});
-
-// dst = (x OP2 y) OP (z OP3 w), outer operands swapped under ZS2 — the
-// pair-pair superop, all row operands.
-template <Op OP2, Op OP, bool ZS2, Op OP3>
-void chainpair_kernel(float* dst, const float* x, const float* y,
-                      const float* z, const float* w, std::size_t n) {
-  FUSEDP_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const float m = chain_bin<OP2>(x[j], y[j]);
-    const float p = chain_bin<OP3>(z[j], w[j]);
-    dst[j] = ZS2 ? chain_bin<OP>(p, m) : chain_bin<OP>(m, p);
-  }
-}
-
-using ChainPairFn = void (*)(float*, const float*, const float*,
-                             const float*, const float*, std::size_t);
-
-// Index layout: ((inner * 5 + outer) * 5 + second) * 2 + ZS2.
-template <std::size_t... I>
-constexpr std::array<ChainPairFn, sizeof...(I)> make_chainpair_table(
-    std::index_sequence<I...>) {
-  return {{&chainpair_kernel<kChainOps[I / 50], kChainOps[(I / 10) % 5],
-                             (I & 1) != 0, kChainOps[(I / 2) % 5]>...}};
-}
-
-constexpr std::array<ChainPairFn, 250> kChainPairKernels =
-    make_chainpair_table(std::make_index_sequence<250>{});
-
-// dst = (x*i1) OP (y*i2) with each multiply's immediate side (MS1/MS2: imm
-// on the left) preserved for NaN-payload order; S2 swaps the outer
-// operands.
-template <Op OP, bool MS1, bool MS2, bool S2>
-void weighted_kernel(float* dst, const float* x, float i1, const float* y,
-                     float i2, std::size_t n) {
-  FUSEDP_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const float m = MS1 ? i1 * x[j] : x[j] * i1;
-    const float w = MS2 ? i2 * y[j] : y[j] * i2;
-    dst[j] = S2 ? chain_bin<OP>(w, m) : chain_bin<OP>(m, w);
-  }
-}
-
-using WeightedFn = void (*)(float*, const float*, float, const float*, float,
-                            std::size_t);
-
-// Index layout: outer * 8 + (MS1 | MS2<<1 | S2<<2).
-template <std::size_t... I>
-constexpr std::array<WeightedFn, sizeof...(I)> make_weighted_table(
-    std::index_sequence<I...>) {
-  return {{&weighted_kernel<kChainOps[I / 8], (I & 1) != 0, (I & 2) != 0,
-                            (I & 4) != 0>...}};
-}
-
-constexpr std::array<WeightedFn, 40> kWeightedKernels =
-    make_weighted_table(std::make_index_sequence<40>{});
-
-// allow_fma contraction of a mul→add/sub chain: one rounding instead of
-// two.  The inner operand order (YS2) cannot affect the fma value, so only
-// YI/ZI/ZS2/SUB instantiate.
-template <bool YI, bool ZI, bool ZS2, bool SUB>
-void fma_kernel(float* dst, const float* x, const float* y, float yimm,
-                const float* z, float zimm, std::size_t n) {
-  FUSEDP_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const float xv = x[j];
-    const float yv = YI ? yimm : y[j];
-    const float zv = ZI ? zimm : z[j];
-    if constexpr (!SUB)
-      dst[j] = std::fma(xv, yv, zv);
-    else if constexpr (!ZS2)
-      dst[j] = std::fma(xv, yv, -zv);  // m - z
-    else
-      dst[j] = std::fma(-xv, yv, zv);  // z - m
-  }
-}
-
-template <std::size_t... I>
-constexpr std::array<ChainFn, sizeof...(I)> make_fma_table(
-    std::index_sequence<I...>) {
-  return {{&fma_kernel<(I & 1) != 0, (I & 2) != 0, (I & 4) != 0,
-                       (I & 8) != 0>...}};
-}
-
-constexpr std::array<ChainFn, 16> kFmaKernels =
-    make_fma_table(std::make_index_sequence<16>{});
-
-// dst = cmp(l, r) ? t : f.  IS mirrors imm_side of the fused comparison:
-// 0 row-row, 1 row-imm, 2 imm-row.  Selecting on the comparison directly is
-// bit-identical to materializing the 0/1 row and testing != 0.
-template <Op CMP, int IS>
-void blend_kernel(float* dst, const float* a, const float* b, float imm,
-                  const float* t, const float* f, std::size_t n) {
-  FUSEDP_SIMD
-  for (std::size_t j = 0; j < n; ++j) {
-    const float l = IS == 2 ? imm : a[j];
-    const float r = IS == 1 ? imm : (IS == 2 ? a[j] : b[j]);
-    bool c;
-    if constexpr (CMP == Op::kLt)
-      c = l < r;
-    else if constexpr (CMP == Op::kLe)
-      c = l <= r;
-    else
-      c = l == r;
-    dst[j] = c ? t[j] : f[j];
-  }
-}
-
-template <Op CMP>
-void blend_dispatch(int is, float* dst, const float* a, const float* b,
-                    float imm, const float* t, const float* f, std::size_t n) {
-  if (is == 0)
-    blend_kernel<CMP, 0>(dst, a, b, imm, t, f, n);
-  else if (is == 1)
-    blend_kernel<CMP, 1>(dst, a, b, imm, t, f, n);
-  else
-    blend_kernel<CMP, 2>(dst, a, b, imm, t, f, n);
+RunRowFn run_row_for([[maybe_unused]] RowKernelIsa isa) {
+#if FUSEDP_HAVE_AVX2_ROW_KERNELS
+  if (isa == RowKernelIsa::kAvx2) return &row_kernels_avx2::run_row;
+#endif
+  return &row_kernels_baseline::run_row;
 }
 
 }  // namespace
 
-const float* CompiledRowEvaluator::eval_load(const CompiledLoad& cl,
-                                             const LoadSrc& src, bool clamped,
-                                             float* out, bool may_forward) {
-  const int prank = cl.prank;
-
-  if (!clamped) {
-    // Interior kernel: every coordinate is provably inside src.domain and
-    // the backing view, so border folding is skipped entirely.
-    std::int64_t c[kMaxDims] = {0, 0, 0, 0};
-    for (int k = 0; k < prank; ++k) {
-      const CompiledAxis& m = cl.axes[static_cast<std::size_t>(k)];
-      if (m.varies_row) continue;
-      c[k] = (m.kind == AxisMap::Kind::kConstant || m.num == 0)
-                 ? m.offset
-                 : floor_div(base_[m.src_dim] * m.num + m.pre, m.den) +
-                       m.offset;
-    }
-    if (cl.vary_axis < 0) {
-      const float v = src.view.at(c);
-      FUSEDP_SIMD
-      for (std::size_t i = 0; i < n_; ++i) out[i] = v;
-      return out;
-    }
-    const CompiledAxis& vm = cl.axes[static_cast<std::size_t>(cl.vary_axis)];
-    const std::int64_t stride = src.view.stride[cl.vary_axis];
-    if (cl.vary_identity) {
-      c[cl.vary_axis] = y0_ + vm.offset;
-      const float* p = src.view.data + src.view.offset_of(c);
-      if (stride == 1) {
-        // Contiguous interior row: forward the producer's storage directly
-        // — consumers read through the per-slot row pointer, so no copy is
-        // needed at all (the root still copies: it must write `out`).
-        if (may_forward) return p;
-        std::memcpy(out, p, n_ * sizeof(float));
-      } else {
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i)
-          out[i] = p[static_cast<std::int64_t>(i) * stride];
-      }
-      return out;
-    }
-    // Scaled gather: the varying coordinate is factored out of the flat
-    // offset and advanced without per-element division.
-    c[cl.vary_axis] = 0;
-    const float* p0 = src.view.data + src.view.offset_of(c);
-    if (vec_) {
-      // Closed-form index kernels for the dominant scalings: the element
-      // index is a direct function of i, so the loop has no carried state
-      // and vectorizes.  The integer indices are exactly the stepper's.
-      if (vm.den == 1) {
-        // Pure stride: index = y*num + pre + offset.
-        const float* p = p0 + (y0_ * vm.num + vm.pre + vm.offset) * stride;
-        const std::int64_t st = vm.num * stride;
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i)
-          out[i] = p[static_cast<std::int64_t>(i) * st];
-        return out;
-      }
-      if (vm.num == 1 && vm.den == 2) {
-        // Halving (pyramid downscale taps): index = floor((y+pre)/2)+offset
-        // = q0 + (i + r0)/2 with r0 in {0, 1}.
-        const std::int64_t t0 = y0_ + vm.pre;
-        const std::int64_t q0 = floor_div(t0, 2);
-        const std::size_t r0 = static_cast<std::size_t>(t0 - 2 * q0);
-        const float* p = p0 + (q0 + vm.offset) * stride;
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i)
-          out[i] = p[static_cast<std::int64_t>((i + r0) >> 1) * stride];
-        return out;
-      }
-      if (vm.num == 1 && vm.den > 2) {
-        // General upsampling (the bilateral slice's den=8 grid axes): the
-        // index floor((y+pre)/den)+offset is piecewise constant over runs
-        // of `den` elements, so the row is a sequence of broadcast fills
-        // (the first run is den-r0 long, the rest full).  Each fill
-        // vectorizes; the indices are exactly the stepper's.
-        const std::int64_t t0 = y0_ + vm.pre;
-        std::int64_t q = floor_div(t0, vm.den);
-        std::size_t run = static_cast<std::size_t>(vm.den - (t0 - q * vm.den));
-        const float* p = p0 + vm.offset * stride;
-        std::size_t i = 0;
-        while (i < n_) {
-          const std::size_t end = std::min(n_, i + run);
-          const float v = p[q * stride];
-          FUSEDP_SIMD
-          for (std::size_t j = i; j < end; ++j) out[j] = v;
-          i = end;
-          run = static_cast<std::size_t>(vm.den);
-          ++q;
-        }
-        return out;
-      }
-    }
-    AffineStepper coord(y0_, vm.num, vm.den, vm.pre, vm.offset);
-    for (std::size_t i = 0; i < n_; ++i, coord.step())
-      out[i] = p0[coord.value() * stride];
-    return out;
-  }
-
-  if (cl.border != Border::kClamp) {
-    // Non-clamp borders take a fully general gather (they are rare and only
-    // differ near domain edges).
-    const float* dyn[kMaxDims] = {nullptr, nullptr, nullptr, nullptr};
-    for (int k = 0; k < prank; ++k)
-      if (cl.axes[static_cast<std::size_t>(k)].kind == AxisMap::Kind::kDynamic)
-        dyn[k] = row(cl.axes[static_cast<std::size_t>(k)].dyn_slot);
-    std::int64_t c[kMaxDims];
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::int64_t y = y0_ + static_cast<std::int64_t>(i);
-      bool zero = false;
-      for (int k = 0; k < prank && !zero; ++k) {
-        const CompiledAxis& m = cl.axes[static_cast<std::size_t>(k)];
-        std::int64_t v;
-        if (m.kind == AxisMap::Kind::kConstant || m.num == 0)
-          v = m.offset;
-        else if (m.kind == AxisMap::Kind::kDynamic)
-          v = static_cast<std::int64_t>(std::floor(dyn[k][i]));
-        else
-          v = floor_div((m.varies_row ? y : base_[m.src_dim]) * m.num + m.pre,
-                        m.den) +
-              m.offset;
-        if (cl.border == Border::kZero &&
-            (v < src.domain.lo[k] || v > src.domain.hi[k])) {
-          zero = true;
-          break;
-        }
-        c[k] = fold_coord(v, src.domain.lo[k], src.domain.hi[k], cl.border);
-      }
-      out[i] = zero ? 0.0f : src.view.at(c);
-    }
-    return out;
-  }
-
-  // Clamp-to-edge: fixed coordinates once per row, then the varying /
-  // dynamic axes per element.
-  std::int64_t fixed[kMaxDims] = {0, 0, 0, 0};
-  const float* dyn_rows[kMaxDims] = {nullptr, nullptr, nullptr, nullptr};
-  for (int k = 0; k < prank; ++k) {
-    const CompiledAxis& m = cl.axes[static_cast<std::size_t>(k)];
-    switch (m.kind) {
-      case AxisMap::Kind::kConstant:
-        fixed[k] = clamp_i64(m.offset, src.domain.lo[k], src.domain.hi[k]);
-        break;
-      case AxisMap::Kind::kDynamic:
-        dyn_rows[k] = row(m.dyn_slot);
-        break;
-      case AxisMap::Kind::kAffine:
-        if (!m.varies_row) {
-          const std::int64_t v =
-              m.num == 0
-                  ? m.offset
-                  : floor_div(base_[m.src_dim] * m.num + m.pre, m.den) +
-                        m.offset;
-          fixed[k] = clamp_i64(v, src.domain.lo[k], src.domain.hi[k]);
-        }
-        break;
-    }
-  }
-
-  if (!cl.any_dynamic && cl.vary_axis >= 0) {
-    const CompiledAxis& vm = cl.axes[static_cast<std::size_t>(cl.vary_axis)];
-    if (cl.vary_identity) {
-      // Contiguous-in-producer along the row, clamped at the edges.
-      std::int64_t c[kMaxDims];
-      for (int k = 0; k < prank; ++k) c[k] = fixed[k];
-      const std::int64_t plo = src.domain.lo[cl.vary_axis];
-      const std::int64_t phi = src.domain.hi[cl.vary_axis];
-      const std::int64_t stride = src.view.stride[cl.vary_axis];
-      const std::int64_t first = y0_ + vm.offset;
-      const std::int64_t pre = std::clamp<std::int64_t>(
-          plo - first, 0, static_cast<std::int64_t>(n_));
-      const std::int64_t post_start = std::clamp<std::int64_t>(
-          phi - first + 1, 0, static_cast<std::int64_t>(n_));
-      if (pre > 0) {
-        c[cl.vary_axis] = plo;
-        const float lo_val = src.view.at(c);
-        for (std::int64_t i = 0; i < pre; ++i) out[i] = lo_val;
-      }
-      if (post_start > pre) {
-        c[cl.vary_axis] = first + pre;
-        const float* p = src.view.data + src.view.offset_of(c);
-        const std::size_t body = static_cast<std::size_t>(post_start - pre);
-        if (stride == 1) {
-          std::memcpy(out + pre, p, body * sizeof(float));
-        } else {
-          FUSEDP_SIMD
-          for (std::size_t i = 0; i < body; ++i)
-            out[static_cast<std::size_t>(pre) + i] =
-                p[static_cast<std::int64_t>(i) * stride];
-        }
-      }
-      if (post_start < static_cast<std::int64_t>(n_)) {
-        c[cl.vary_axis] = phi;
-        const float hi_val = src.view.at(c);
-        for (std::int64_t i = post_start; i < static_cast<std::int64_t>(n_);
-             ++i)
-          out[i] = hi_val;
-      }
-      return out;
-    }
-    // Scaled gather along the row (up/down-sampling): factor the varying
-    // coordinate out of the flat offset and advance it division-free.
-    std::int64_t c[kMaxDims];
-    for (int k = 0; k < prank; ++k) c[k] = fixed[k];
-    const std::int64_t plo = src.domain.lo[cl.vary_axis];
-    const std::int64_t phi = src.domain.hi[cl.vary_axis];
-    const std::int64_t stride = src.view.stride[cl.vary_axis];
-    c[cl.vary_axis] = 0;
-    const float* p0 = src.view.data + src.view.offset_of(c);
-    if (vec_ && vm.num > 0) {
-      // The index is non-decreasing in i, so the row splits into a
-      // clamped-to-lo prefix, a clamp-free interior and a clamped-to-hi
-      // suffix; the interior takes the same closed-form kernels as the
-      // unclamped path.  Segment bounds invert the exact index formula, so
-      // every element reads the same producer cell the clamping loop would.
-      std::int64_t i_lo = 0, i_hi1 = 0;
-      bool closed = false;
-      if (vm.den == 1) {
-        const std::int64_t k0 = vm.pre + vm.offset;
-        i_lo = ceil_div(plo - k0, vm.num) - y0_;
-        i_hi1 = floor_div(phi - k0, vm.num) - y0_ + 1;
-        closed = true;
-      } else if (vm.num == 1 && vm.den >= 2) {
-        // floor((y0+i+pre)/den)+offset crosses plo at the first i with
-        // y0+i+pre >= den*(plo-offset) and exceeds phi at the first i with
-        // y0+i+pre >= den*(phi-offset+1); for den = 2 this is exactly the
-        // former specialized bound.
-        i_lo = vm.den * (plo - vm.offset) - y0_ - vm.pre;
-        i_hi1 = vm.den * (phi - vm.offset + 1) - y0_ - vm.pre;
-        closed = true;
-      }
-      if (closed) {
-        const std::int64_t nn = static_cast<std::int64_t>(n_);
-        i_lo = std::clamp<std::int64_t>(i_lo, 0, nn);
-        i_hi1 = std::clamp<std::int64_t>(i_hi1, i_lo, nn);
-        if (i_lo > 0) {
-          const float lo_val = p0[plo * stride];
-          for (std::int64_t i = 0; i < i_lo; ++i) out[i] = lo_val;
-        }
-        if (vm.den == 1) {
-          const float* p =
-              p0 + ((y0_ + i_lo) * vm.num + vm.pre + vm.offset) * stride;
-          const std::int64_t st = vm.num * stride;
-          const std::int64_t body = i_hi1 - i_lo;
-          float* outb = out + i_lo;
-          FUSEDP_SIMD
-          for (std::int64_t i = 0; i < body; ++i) outb[i] = p[i * st];
-        } else if (vm.den == 2) {
-          const std::int64_t t0 = y0_ + i_lo + vm.pre;
-          const std::int64_t q0 = floor_div(t0, 2);
-          const std::int64_t r0 = t0 - 2 * q0;
-          const float* p = p0 + (q0 + vm.offset) * stride;
-          const std::int64_t body = i_hi1 - i_lo;
-          float* outb = out + i_lo;
-          FUSEDP_SIMD
-          for (std::int64_t i = 0; i < body; ++i)
-            outb[i] = p[((i + r0) >> 1) * stride];
-        } else {
-          // den > 2 interior: run-segmented broadcast fills, as in the
-          // unclamped kernel (the interior is clamp-free by construction).
-          const std::int64_t t0 = y0_ + i_lo + vm.pre;
-          std::int64_t q = floor_div(t0, vm.den);
-          std::size_t run =
-              static_cast<std::size_t>(vm.den - (t0 - q * vm.den));
-          const float* p = p0 + vm.offset * stride;
-          const std::size_t body = static_cast<std::size_t>(i_hi1 - i_lo);
-          float* outb = out + i_lo;
-          std::size_t i = 0;
-          while (i < body) {
-            const std::size_t end = std::min(body, i + run);
-            const float v = p[q * stride];
-            FUSEDP_SIMD
-            for (std::size_t j = i; j < end; ++j) outb[j] = v;
-            i = end;
-            run = static_cast<std::size_t>(vm.den);
-            ++q;
-          }
-        }
-        if (i_hi1 < nn) {
-          const float hi_val = p0[phi * stride];
-          for (std::int64_t i = i_hi1; i < nn; ++i) out[i] = hi_val;
-        }
-        return out;
-      }
-    }
-    AffineStepper coord(y0_, vm.num, vm.den, vm.pre, vm.offset);
-    for (std::size_t i = 0; i < n_; ++i, coord.step())
-      out[i] = p0[clamp_i64(coord.value(), plo, phi) * stride];
-    return out;
-  }
-
-  if (!cl.any_dynamic) {
-    // Every axis fixed: broadcast one element.
-    const float v = src.view.at(fixed);
-    FUSEDP_SIMD
-    for (std::size_t i = 0; i < n_; ++i) out[i] = v;
-    return out;
-  }
-
-  // General gather with dynamic axes.  The fixed axes are folded into one
-  // base pointer; only dynamic and row-varying axes contribute per element.
-  struct ActiveAxis {
-    const float* dyn;  // null for an affine row-varying axis
-    std::int64_t num, den, pre, offset;
-    std::int64_t stride, lo, hi;
-  };
-  ActiveAxis act[kMaxDims];
-  int nact = 0;
-  std::int64_t c[kMaxDims] = {0, 0, 0, 0};
-  for (int k = 0; k < prank; ++k) {
-    const CompiledAxis& m = cl.axes[static_cast<std::size_t>(k)];
-    if (m.kind == AxisMap::Kind::kDynamic || m.varies_row) {
-      ActiveAxis& a = act[nact++];
-      a.dyn = m.kind == AxisMap::Kind::kDynamic ? dyn_rows[k] : nullptr;
-      a.num = m.num;
-      a.den = m.den;
-      a.pre = m.pre;
-      a.offset = m.offset;
-      a.stride = src.view.stride[k];
-      a.lo = src.domain.lo[k];
-      a.hi = src.domain.hi[k];
-      c[k] = 0;
-    } else {
-      c[k] = fixed[k];
-    }
-  }
-  const float* p0 = src.view.data + src.view.offset_of(c);
-  if (vec_) {
-    // Loop interchange: one branchless pass per active axis accumulates the
-    // flat offsets into a scratch row, then a single tight gather reads the
-    // producer.  Index math (floor, clamp, strides) is element-for-element
-    // the same as the fallback loop below.
-    offs_.resize(n_);
-    std::int64_t* off = offs_.data();
-    for (int t = 0; t < nact; ++t) {
-      const ActiveAxis& a = act[t];
-      const std::int64_t lo = a.lo, hi = a.hi, st = a.stride;
-      if (a.dyn) {
-        const float* d = a.dyn;
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i) {
-          std::int64_t v = static_cast<std::int64_t>(std::floor(d[i]));
-          v = v < lo ? lo : (v > hi ? hi : v);
-          off[i] = (t == 0 ? 0 : off[i]) + v * st;
-        }
-      } else if (a.den == 1) {
-        const std::int64_t k0 = a.pre + a.offset;
-        FUSEDP_SIMD
-        for (std::size_t i = 0; i < n_; ++i) {
-          std::int64_t v = (y0_ + static_cast<std::int64_t>(i)) * a.num + k0;
-          v = v < lo ? lo : (v > hi ? hi : v);
-          off[i] = (t == 0 ? 0 : off[i]) + v * st;
-        }
-      } else if (a.num == 1) {
-        // Upsampled axis (the bilateral slice reads its den=8 grid axes
-        // here): floor((y+pre)/den)+offset is constant over runs of `den`
-        // elements, so clamp once per run and fill with a vectorizable
-        // inner loop instead of the serial stepper.  Index math matches
-        // the fallback element for element.
-        const std::int64_t t0 = y0_ + a.pre;
-        std::int64_t q = floor_div(t0, a.den);
-        std::size_t run = static_cast<std::size_t>(a.den - (t0 - q * a.den));
-        std::size_t i = 0;
-        while (i < n_) {
-          const std::size_t end = std::min(n_, i + run);
-          const std::int64_t v = clamp_i64(q + a.offset, lo, hi) * st;
-          if (t == 0) {
-            FUSEDP_SIMD
-            for (std::size_t j = i; j < end; ++j) off[j] = v;
-          } else {
-            FUSEDP_SIMD
-            for (std::size_t j = i; j < end; ++j) off[j] += v;
-          }
-          i = end;
-          run = static_cast<std::size_t>(a.den);
-          ++q;
-        }
-      } else {
-        AffineStepper coord(y0_, a.num, a.den, a.pre, a.offset);
-        for (std::size_t i = 0; i < n_; ++i, coord.step()) {
-          const std::int64_t v = clamp_i64(coord.value(), lo, hi);
-          off[i] = (t == 0 ? 0 : off[i]) + v * st;
-        }
-      }
-    }
-    for (std::size_t i = 0; i < n_; ++i) out[i] = p0[off[i]];
-    return out;
-  }
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::int64_t y = y0_ + static_cast<std::int64_t>(i);
-    std::int64_t off = 0;
-    for (int t = 0; t < nact; ++t) {
-      const ActiveAxis& a = act[t];
-      const std::int64_t v =
-          a.dyn ? static_cast<std::int64_t>(std::floor(a.dyn[i]))
-                : floor_div(y * a.num + a.pre, a.den) + a.offset;
-      off += clamp_i64(v, a.lo, a.hi) * a.stride;
-    }
-    out[i] = p0[off];
-  }
-  return out;
+const char* row_kernel_isa_name(RowKernelIsa isa) {
+  return isa == RowKernelIsa::kAvx2 ? "avx2" : "baseline";
 }
+
+bool row_kernels_supported(RowKernelIsa isa) {
+  return isa == RowKernelIsa::kBaseline || host_row_kernels() == isa;
+}
+
+RowKernelIsa active_row_kernels() {
+  const int o = g_row_kernels_override.load(std::memory_order_relaxed);
+  return o < 0 ? host_row_kernels() : static_cast<RowKernelIsa>(o);
+}
+
+namespace detail {
+
+ScopedRowKernels::ScopedRowKernels(RowKernelIsa isa) {
+  if (!row_kernels_supported(isa)) isa = RowKernelIsa::kBaseline;
+  prev_ = g_row_kernels_override.exchange(static_cast<int>(isa),
+                                          std::memory_order_relaxed);
+}
+
+ScopedRowKernels::~ScopedRowKernels() {
+  g_row_kernels_override.store(prev_, std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
+CompiledRowEvaluator::CompiledRowEvaluator()
+    : isa_(active_row_kernels()), run_row_(run_row_for(isa_)) {}
 
 void CompiledRowEvaluator::eval_row(const CompiledStage& cs,
                                     const StageEvalCtx& ctx,
@@ -1262,237 +691,50 @@ void CompiledRowEvaluator::eval_row(const CompiledStage& cs,
                                     std::int64_t y1, float* out,
                                     bool allow_fma,
                                     bool fast_transcendentals) {
-  n_ = static_cast<std::size_t>(y1 - y0 + 1);
-  base_ = base;
-  y0_ = y0;
-  vec_ = cs.vector_loads;
-  rows_ = guard_.carve(arena_, static_cast<std::size_t>(cs.num_regs),
-                       pad_row_floats(n_), stride_);
+  const std::size_t n = static_cast<std::size_t>(y1 - y0 + 1);
+  std::size_t stride = 0;
+  float* rows = guard_.carve(arena_, static_cast<std::size_t>(cs.num_regs),
+                             pad_row_floats(n), stride);
   rowp_.resize(cs.ops.size());
+  if (offs_.size() < n) offs_.resize(n);
   // Test-only synthetic overrun: scribbles into register 0's guard line,
   // proving the post-tile canary check catches an in-arena smash.
   if (guard_.enabled() && cs.num_regs > 0)
-    FUSEDP_FAULT_CORRUPT("eval.guard_overrun", rows_[stride_ - 1]);
+    FUSEDP_FAULT_CORRUPT("eval.guard_overrun", rows[stride - 1]);
 
   // Constant rows and the innermost coordinate ramp only depend on (stage,
   // n, y0): within one tile they are identical for every row, so fill them
   // once on the tile's first row and skip them afterwards.  Their registers
   // are pinned by the allocator, so nothing overwrites them mid-tile; a
   // different stage running in between invalidates the key (last_cs_).
-  const bool reuse = &cs == last_cs_ && rows_ == last_rows_ &&
-                     n_ == last_n_ && y0 == last_y0_;
+  row_kernels::RowFrame fr;
+  fr.reuse = &cs == last_cs_ && rows == last_rows_ && n == last_n_ &&
+             y0 == last_y0_;
   last_cs_ = &cs;
-  last_rows_ = rows_;
-  last_n_ = n_;
+  last_rows_ = rows;
+  last_n_ = n;
   last_y0_ = y0;
 
-  const std::int32_t nops = cs.num_slots();
-  const std::int32_t root = cs.root;
-  const int last = ctx.stage->rank() - 1;
-  for (std::int32_t i = 0; i < nops; ++i) {
-    const CompiledOp& o = cs.ops[static_cast<std::size_t>(i)];
-    // The root writes straight into the caller's row; no reachable op
-    // consumes the root's value (it would have to be its own ancestor).
-    float* dst =
-        i == root
-            ? out
-            : rows_ + static_cast<std::size_t>(cs.reg[static_cast<std::size_t>(
-                          i)]) * stride_;
-    rowp_[static_cast<std::size_t>(i)] = dst;
-
-    if (o.super == SuperOp::kBinChain) {
-      const float* x = row(o.a);
-      const float* y = o.b >= 0 ? row(o.b) : nullptr;
-      const float* z = o.c >= 0 ? row(o.c) : nullptr;
-      if (allow_fma && o.op2 == Op::kMul &&
-          (o.op == Op::kAdd || o.op == Op::kSub)) {
-        const unsigned key = (o.b < 0 ? 1u : 0u) | (o.c < 0 ? 2u : 0u) |
-                             (o.super_side == 2 ? 4u : 0u) |
-                             (o.op == Op::kSub ? 8u : 0u);
-        kFmaKernels[key](dst, x, y, o.imm, z, o.imm2, n_);
-      } else {
-        const unsigned key =
-            static_cast<unsigned>(
-                (chain_op_index(o.op2) * 5 + chain_op_index(o.op)) * 16) |
-            (o.b < 0 ? 1u : 0u) | (o.imm_side == 2 ? 2u : 0u) |
-            (o.c < 0 ? 4u : 0u) | (o.super_side == 2 ? 8u : 0u);
-        kChainKernels[key](dst, x, y, o.imm, z, o.imm2, n_);
-      }
-      continue;
-    }
-    if (o.super == SuperOp::kChainPair) {
-      const unsigned key =
-          static_cast<unsigned>(((chain_op_index(o.op2) * 5 +
-                                  chain_op_index(o.op)) *
-                                     5 +
-                                 chain_op_index(o.op3)) *
-                                2) |
-          (o.super_side == 2 ? 1u : 0u);
-      kChainPairKernels[key](dst, row(o.a), row(o.b), row(o.c), row(o.d),
-                             n_);
-      continue;
-    }
-    if (o.super == SuperOp::kWeighted) {
-      const unsigned key =
-          static_cast<unsigned>(chain_op_index(o.op) * 8) |
-          (o.imm_side == 2 ? 1u : 0u) | (o.imm2_side == 2 ? 2u : 0u) |
-          (o.super_side == 2 ? 4u : 0u);
-      kWeightedKernels[key](dst, row(o.a), o.imm, row(o.b), o.imm2, n_);
-      continue;
-    }
-    if (o.super == SuperOp::kCmpBlend) {
-      const float* a = row(o.a);
-      const float* b = o.b >= 0 ? row(o.b) : nullptr;
-      const float* t = row(o.c);
-      const float* f = row(o.d);
-      const int is = o.imm_side;
-      if (o.op2 == Op::kLt)
-        blend_dispatch<Op::kLt>(is, dst, a, b, o.imm, t, f, n_);
-      else if (o.op2 == Op::kLe)
-        blend_dispatch<Op::kLe>(is, dst, a, b, o.imm, t, f, n_);
-      else
-        blend_dispatch<Op::kEq>(is, dst, a, b, o.imm, t, f, n_);
-      continue;
-    }
-
-    switch (o.op) {
-      case Op::kConst:
-        if (reuse && i != root) break;
-        FUSEDP_SIMD
-        for (std::size_t j = 0; j < n_; ++j) dst[j] = o.imm;
-        break;
-      case Op::kCoord:
-        if (o.dim == last) {
-          if (reuse && i != root) break;
-          FUSEDP_SIMD
-          for (std::size_t j = 0; j < n_; ++j)
-            dst[j] = static_cast<float>(y0 + static_cast<std::int64_t>(j));
-        } else {
-          const float v = static_cast<float>(base[o.dim]);
-          FUSEDP_SIMD
-          for (std::size_t j = 0; j < n_; ++j) dst[j] = v;
-        }
-        break;
-      case Op::kLoad:
-        rowp_[static_cast<std::size_t>(i)] =
-            eval_load(cs.loads[static_cast<std::size_t>(o.load_id)],
-                      ctx.srcs[static_cast<std::size_t>(o.load_id)],
-                      load_clamped[o.load_id] != 0, dst,
-                      /*may_forward=*/cs.vector_loads && i != root);
-        break;
-      case Op::kSelect: {
-        const float* a = row(o.a);
-        const float* b = row(o.b);
-        const float* c = row(o.c);
-        FUSEDP_SIMD
-        for (std::size_t j = 0; j < n_; ++j)
-          dst[j] = a[j] != 0.0f ? b[j] : c[j];
-        break;
-      }
-// SIMD-safe unary ops.  kExp/kLog default to unannotated scalar libm loops
-// (bit-exactness policy: no vector math library); with the opt-in
-// fast_transcendentals flag they dispatch to the branch-free polynomial
-// kernels in runtime/fastmath.hpp, which inline into omp-simd loops.
-#define FUSEDP_UNARY_CASE(OP)                                              \
-  case Op::OP: {                                                           \
-    const float* a = row(o.a);                                             \
-    FUSEDP_SIMD                                                            \
-    for (std::size_t j = 0; j < n_; ++j)                                   \
-      dst[j] = apply_unary(Op::OP, a[j]);                                  \
-  } break;
-#define FUSEDP_UNARY_CASE_LIBM(OP, FAST)                                   \
-  case Op::OP: {                                                           \
-    const float* a = row(o.a);                                             \
-    if (fast_transcendentals) {                                            \
-      FUSEDP_SIMD                                                          \
-      for (std::size_t j = 0; j < n_; ++j) dst[j] = FAST(a[j]);            \
-    } else {                                                               \
-      for (std::size_t j = 0; j < n_; ++j)                                 \
-        dst[j] = apply_unary(Op::OP, a[j]);                                \
-    }                                                                      \
-  } break;
-      FUSEDP_UNARY_CASE(kNeg)
-      FUSEDP_UNARY_CASE(kAbs)
-      FUSEDP_UNARY_CASE(kSqrt)
-      FUSEDP_UNARY_CASE_LIBM(kExp, fastmath::fast_exp)
-      FUSEDP_UNARY_CASE_LIBM(kLog, fastmath::fast_log)
-      FUSEDP_UNARY_CASE(kFloor)
-#undef FUSEDP_UNARY_CASE
-#undef FUSEDP_UNARY_CASE_LIBM
-#define FUSEDP_BINARY_BODY(OP, SIMD_PRAGMA)                                \
-  case Op::OP: {                                                           \
-    const float* a = row(o.a);                                             \
-    if (o.imm_side == 0) {                                                 \
-      const float* b = row(o.b);                                           \
-      SIMD_PRAGMA                                                          \
-      for (std::size_t j = 0; j < n_; ++j)                                 \
-        dst[j] = apply_binary(Op::OP, a[j], b[j]);                         \
-    } else if (o.imm_side == 1) {                                          \
-      const float im = o.imm;                                              \
-      SIMD_PRAGMA                                                          \
-      for (std::size_t j = 0; j < n_; ++j)                                 \
-        dst[j] = apply_binary(Op::OP, a[j], im);                           \
-    } else {                                                               \
-      const float im = o.imm;                                              \
-      SIMD_PRAGMA                                                          \
-      for (std::size_t j = 0; j < n_; ++j)                                 \
-        dst[j] = apply_binary(Op::OP, im, a[j]);                           \
-    }                                                                      \
-  } break;
-#define FUSEDP_BINARY_CASE(OP) FUSEDP_BINARY_BODY(OP, FUSEDP_SIMD)
-      FUSEDP_BINARY_CASE(kAdd)
-      FUSEDP_BINARY_CASE(kSub)
-      FUSEDP_BINARY_CASE(kMul)
-      FUSEDP_BINARY_CASE(kDiv)
-      FUSEDP_BINARY_CASE(kMin)
-      FUSEDP_BINARY_CASE(kMax)
-      case Op::kPow: {
-        // Scalar libm by default (bit-exactness), vectorizable polynomial
-        // kernel under fast_transcendentals — same imm-side forms as the
-        // generic binary body.
-        const float* a = row(o.a);
-        if (fast_transcendentals) {
-          if (o.imm_side == 0) {
-            const float* b = row(o.b);
-            FUSEDP_SIMD
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = fastmath::fast_pow(a[j], b[j]);
-          } else if (o.imm_side == 1) {
-            const float im = o.imm;
-            FUSEDP_SIMD
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = fastmath::fast_pow(a[j], im);
-          } else {
-            const float im = o.imm;
-            FUSEDP_SIMD
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = fastmath::fast_pow(im, a[j]);
-          }
-        } else {
-          if (o.imm_side == 0) {
-            const float* b = row(o.b);
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = apply_binary(Op::kPow, a[j], b[j]);
-          } else if (o.imm_side == 1) {
-            const float im = o.imm;
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = apply_binary(Op::kPow, a[j], im);
-          } else {
-            const float im = o.imm;
-            for (std::size_t j = 0; j < n_; ++j)
-              dst[j] = apply_binary(Op::kPow, im, a[j]);
-          }
-        }
-      } break;
-      FUSEDP_BINARY_CASE(kLt)
-      FUSEDP_BINARY_CASE(kLe)
-      FUSEDP_BINARY_CASE(kEq)
-      FUSEDP_BINARY_CASE(kAnd)
-      FUSEDP_BINARY_CASE(kOr)
-#undef FUSEDP_BINARY_CASE
-#undef FUSEDP_BINARY_BODY
-    }
-  }
+  fr.ops = cs.ops.data();
+  fr.nops = cs.num_slots();
+  fr.root = cs.root;
+  fr.reg = cs.reg.data();
+  fr.loads = cs.loads.data();
+  fr.srcs = ctx.srcs.data();
+  fr.load_clamped = load_clamped;
+  fr.rowp = rowp_.data();
+  fr.rows = rows;
+  fr.stride = stride;
+  fr.offs = offs_.data();
+  fr.base = base;
+  fr.y0 = y0;
+  fr.n = n;
+  fr.last = ctx.stage->rank() - 1;
+  fr.out = out;
+  fr.vec = cs.vector_loads;
+  fr.allow_fma = allow_fma;
+  fr.fast_transcendentals = fast_transcendentals;
+  run_row_(fr);
 
   // Test-only planted miscompile: flips the low mantissa bit of one output
   // element of the compiled backend, exactly once per arming.  The

@@ -38,7 +38,9 @@
 //    at a time.  Each load dispatches on a per-tile mask to either the
 //    exact border-folding kernel or an unclamped interior kernel with no
 //    per-element min/max; unclamped stride-1 identity loads are forwarded
-//    as direct pointers into the producer's data (no copy at all).
+//    as direct pointers into the producer's data (no copy at all).  The
+//    row code is built per instruction set (runtime/row_kernels.hpp) and
+//    dispatched on the CPU's feature bits (RowKernelIsa).
 //
 // Everything here is bit-identical to eval_scalar_at by construction
 // (folding uses the same apply_unary/apply_binary the interpreter uses);
@@ -193,6 +195,47 @@ RegionTemplate build_region_template(const Pipeline& pl, NodeSet stages,
                                      const std::vector<std::int64_t>& tile_sizes,
                                      const std::vector<std::int64_t>& tiles_per_dim);
 
+// Instruction-set builds of the row kernels CompiledRowEvaluator runs (see
+// runtime/row_kernels.hpp).  Every x86-64 build carries a baseline table
+// and an AVX2+FMA table; other targets carry the baseline table only.  The
+// process runs the widest table the CPU supports, chosen once from its
+// feature bits; both produce bit-identical outputs.
+enum class RowKernelIsa : std::uint8_t { kBaseline, kAvx2 };
+
+// "baseline" or "avx2".
+const char* row_kernel_isa_name(RowKernelIsa isa);
+// True when this build contains `isa`'s table and this CPU can run it.
+bool row_kernels_supported(RowKernelIsa isa);
+// The table an evaluator constructed now resolves: the detail:: override
+// while one is active, else the widest supported table.
+RowKernelIsa active_row_kernels();
+
+namespace detail {
+
+// Test-only table override, process-wide like FaultInjector arming: while
+// an instance lives, every CompiledRowEvaluator constructed anywhere in the
+// process (executor lanes on pool threads included) runs `isa`.  An `isa`
+// this host cannot run selects the baseline table instead, so no override
+// can execute instructions the CPU lacks.  Scopes nest; the destructor
+// restores the previous selection.  Evaluators constructed before the
+// scope keep their table.
+class ScopedRowKernels {
+ public:
+  explicit ScopedRowKernels(RowKernelIsa isa);
+  ~ScopedRowKernels();
+  ScopedRowKernels(const ScopedRowKernels&) = delete;
+  ScopedRowKernels& operator=(const ScopedRowKernels&) = delete;
+
+ private:
+  int prev_;
+};
+
+}  // namespace detail
+
+namespace row_kernels {
+struct RowFrame;
+}  // namespace row_kernels
+
 // Executes a CompiledStage one innermost-dimension row at a time.
 // `load_clamped[i]` selects, per load, the exact border-folding kernel (1)
 // or the unclamped interior kernel (0); the executor passes 0 only when the
@@ -205,6 +248,9 @@ RegionTemplate build_region_template(const Pipeline& pl, NodeSet stages,
 // the removed intermediate rounding per fused op.
 class CompiledRowEvaluator {
  public:
+  // Resolves the row-kernel table (active_row_kernels()) once, here.
+  CompiledRowEvaluator();
+
   // Evaluates over {base[0..rank-2] fixed, last dim in [y0, y1]} (inclusive)
   // and writes the y1-y0+1 results to `out`.  `ctx.srcs` holds one resolved
   // LoadSrc per stage load, as for eval_scalar_at.
@@ -223,27 +269,17 @@ class CompiledRowEvaluator {
   // accounting.
   std::size_t arena_floats() const { return arena_.capacity(); }
 
- private:
-  // Evaluates a load into `out`; returns the row the load's value lives in.
-  // For unclamped stride-1 identity loads with `may_forward`, that is a
-  // pointer directly into the producer's data and `out` is untouched.
-  const float* eval_load(const CompiledLoad& cl, const LoadSrc& src,
-                         bool clamped, float* out, bool may_forward);
-  const float* row(std::int32_t slot) const {
-    return rowp_[static_cast<std::size_t>(slot)];
-  }
+  // The row-kernel table this evaluator runs.
+  RowKernelIsa isa() const { return isa_; }
 
+ private:
   ScratchArena arena_;  // num_regs x padded-row-length registers
   RowGuard guard_;
   std::vector<const float*> rowp_;  // per-slot result row (register or
                                     // forwarded producer pointer)
-  float* rows_ = nullptr;
   std::vector<std::int64_t> offs_;  // dynamic-gather flat-offset scratch row
-  std::size_t stride_ = 0;  // padded row length (floats)
-  const std::int64_t* base_ = nullptr;
-  std::int64_t y0_ = 0;
-  std::size_t n_ = 0;
-  bool vec_ = false;  // CompiledStage::vector_loads of the current program
+  RowKernelIsa isa_;
+  void (*run_row_)(const row_kernels::RowFrame&);
 
   // Row-reuse key: consecutive eval_row calls for the same stage, arena,
   // span and innermost range (every row of one tile) can skip refilling

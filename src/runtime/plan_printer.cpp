@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "ir/printer.hpp"
+#include "runtime/compile.hpp"
 
 namespace fusedp {
 
@@ -39,6 +40,8 @@ std::string plan_to_string(const ExecutablePlan& plan,
   std::ostringstream out;
   out << "// executable plan for pipeline '" << pl.name() << "' ("
       << plan.groups.size() << " groups)\n";
+  out << "// row kernels: " << row_kernel_isa_name(active_row_kernels())
+      << "\n";
   int gi = 0;
   for (const GroupPlan& g : plan.groups) {
     const int index = gi++;

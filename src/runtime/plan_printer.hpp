@@ -1,6 +1,8 @@
 // Renders an ExecutablePlan as pseudo-code resembling the C++ PolyMage
 // generates (paper Figure 3): parallel fused tile-space loops, per-tile
-// scratch buffers, intra-tile stage loops, and live-out publication.
+// scratch buffers, intra-tile stage loops, and live-out publication.  The
+// header names the row-kernel table (avx2 or baseline) an execution in
+// this process runs.
 //
 // With a RunTrace (observe layer), each group header also carries a
 // measured column — wall ms and redundant-recompute share joined against

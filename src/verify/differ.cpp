@@ -456,6 +456,17 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
   return false;
 }
 
+// The row-kernel table a seed's runs use, drawn per seed like the
+// configs' pool_backend, but from a stream of its own so the config draws
+// stay what they were.  A replay of the seed draws the same table; a host
+// without AVX2 runs the baseline table for every seed.
+RowKernelIsa draw_row_kernels(std::uint64_t seed) {
+  Rng rng(seed ^ 0x15A7AB1Eu);
+  const RowKernelIsa isa =
+      rng.next_bool() ? RowKernelIsa::kAvx2 : RowKernelIsa::kBaseline;
+  return row_kernels_supported(isa) ? isa : RowKernelIsa::kBaseline;
+}
+
 }  // namespace
 
 std::string DivergenceRecord::to_string() const {
@@ -479,7 +490,8 @@ std::string DivergenceRecord::to_string() const {
      << " fastmath=" << opts.fast_transcendentals
      << " never_pessimize=" << opts.never_pessimize
      << " pooled=" << opts.pooled_storage << " guard=" << opts.guard_arena
-     << " pool_backend=" << opts.pool_backend;
+     << " pool_backend=" << opts.pool_backend
+     << " row_kernels=" << row_kernel_isa_name(row_kernels);
   std::string sched = schedule;
   for (char& ch : sched)
     if (ch == '\n') ch = ';';
@@ -492,6 +504,8 @@ DiffResult diff_pipeline(const Pipeline& pl,
                          const std::vector<Buffer>& inputs,
                          std::uint64_t seed, const DifferOptions& d) {
   DiffResult res;
+  res.row_kernels = draw_row_kernels(seed);
+  const detail::ScopedRowKernels kernels(res.row_kernels);
   const std::vector<Buffer> ref = run_reference(pl, inputs);
   const std::vector<int> topo = pl.graph().topo_order();
   Rng rng(seed ^ 0xD1FFC0DEu);
@@ -503,7 +517,8 @@ DiffResult diff_pipeline(const Pipeline& pl,
 
   for (const Grouping& g : groupings)
     if (run_configs(pl, inputs, ref, topo, g, seed, rng, d.max_threads, &res))
-      return res;
+      break;
+  res.record.row_kernels = res.row_kernels;
   return res;
 }
 
@@ -511,11 +526,13 @@ DiffResult diff_grouping(const Pipeline& pl, const Grouping& grouping,
                          const std::vector<Buffer>& inputs,
                          std::uint64_t seed, const DifferOptions& d) {
   DiffResult res;
+  res.row_kernels = active_row_kernels();  // the table a run here uses
   const std::vector<Buffer> ref = run_reference(pl, inputs);
   const std::vector<int> topo = pl.graph().topo_order();
   Rng rng(seed ^ 0xD1FFC0DEu);
   run_configs(pl, inputs, ref, topo, grouping, seed, rng, d.max_threads,
               &res);
+  res.record.row_kernels = res.row_kernels;
   return res;
 }
 

@@ -7,16 +7,22 @@
 // non-divisible) and thread counts, and compares every materialized stage
 // bit-for-bit against the unfused scalar reference (run_reference).
 //
+// Each seed of diff_seed/diff_pipeline also draws the row-kernel table its
+// runs use (RowKernelIsa: baseline or, on hosts that have it, AVX2), so a
+// soak over many seeds covers both builds of the compiled kernels.
+//
 // On mismatch the result carries a minimized DivergenceRecord: the earliest
 // diverging stage in topo order, the exact coordinate, both bit patterns,
-// the active ExecOptions and schedule text, and the generator seed —
-// everything needed for a one-line replay (`fusedp_verify --replay SEED`).
+// the active ExecOptions, row-kernel table and schedule text, and the
+// generator seed — everything needed for a one-line replay
+// (`fusedp_verify --replay SEED`).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "runtime/compile.hpp"
 #include "runtime/executor.hpp"
 #include "verify/pipegen.hpp"
 
@@ -34,6 +40,7 @@ struct DivergenceRecord {
   float want = 0.0f;
   float got = 0.0f;
   ExecOptions opts;       // full options of the diverging run
+  RowKernelIsa row_kernels = RowKernelIsa::kBaseline;  // table that ran
   std::string schedule;   // grouping_to_text of the diverging grouping
   // Non-empty when the run threw instead of producing wrong bits; the
   // record then localizes the failure, not a coordinate.
@@ -53,6 +60,7 @@ struct DiffResult {
   bool diverged = false;
   DivergenceRecord record;  // valid only when diverged
   int runs = 0;             // executor configurations exercised
+  RowKernelIsa row_kernels = RowKernelIsa::kBaseline;  // table every run used
 };
 
 // Generates pipeline + inputs for `seed` and cross-checks all backends.
@@ -65,7 +73,8 @@ DiffResult diff_pipeline(const Pipeline& pl,
                          std::uint64_t seed, const DifferOptions& opts = {});
 
 // Cross-checks one specific schedule (all backend configs, no random
-// groupings) — fusedp_cli --verify runs its chosen grouping through this.
+// groupings) on the row-kernel table this process runs — fusedp_cli
+// --verify runs its chosen grouping through this.
 DiffResult diff_grouping(const Pipeline& pl, const Grouping& grouping,
                          const std::vector<Buffer>& inputs,
                          std::uint64_t seed, const DifferOptions& opts = {});

@@ -220,10 +220,14 @@ void expect_outputs_match(const Pipeline& pl, const Grouping& g,
   }
 }
 
-class CompiledSweepTest : public ::testing::TestWithParam<const char*> {};
+// The equivalence tests below run once per row-kernel table: the unsuffixed
+// case under the baseline table, the Avx2 case under the AVX2 table (skipped
+// where this build or CPU lacks it).  Every other test runs whichever table
+// the host selects.
+constexpr const char* kNoAvx2 =
+    "no AVX2+FMA row-kernel table on this build or CPU";
 
-TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizes) {
-  const std::string key = GetParam();
+void sweep_randomized_tile_sizes(const std::string& key) {
   const PipelineSpec spec = make_benchmark(key, 24);
   const Pipeline& pl = *spec.pipeline;
   const CostModel model(pl, MachineModel::xeon_haswell());
@@ -263,6 +267,19 @@ TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizes) {
   }
 }
 
+class CompiledSweepTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizes) {
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kBaseline);
+  sweep_randomized_tile_sizes(GetParam());
+}
+
+TEST_P(CompiledSweepTest, BitIdenticalUnderRandomizedTileSizesAvx2) {
+  if (!row_kernels_supported(RowKernelIsa::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kAvx2);
+  sweep_randomized_tile_sizes(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CompiledSweepTest,
                          ::testing::Values("unsharp", "harris", "bilateral",
                                            "interpolate", "campipe",
@@ -270,12 +287,10 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CompiledSweepTest,
 
 // Random DAGs (including 2x up/down-scaling accesses) through the compiled
 // path, against the reference.
-class CompiledRandomPipelineTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CompiledRandomPipelineTest, CompiledMatchesReference) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
-  const auto pl = testing::random_pipeline(7, 44 + GetParam(), 52, seed,
-                                           /*scaling=*/GetParam() % 2 == 0);
+void random_pipeline_matches_reference(int param) {
+  const std::uint64_t seed = static_cast<std::uint64_t>(param);
+  const auto pl = testing::random_pipeline(7, 44 + param, 52, seed,
+                                           /*scaling=*/param % 2 == 0);
   const CostModel model(*pl, MachineModel::xeon_haswell());
   IncFusion inc(*pl, model);
   const Grouping g = inc.run();
@@ -287,8 +302,49 @@ TEST_P(CompiledRandomPipelineTest, CompiledMatchesReference) {
   expect_outputs_match(*pl, g, inputs, ref, opts, "random compiled");
 }
 
+class CompiledRandomPipelineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompiledRandomPipelineTest, CompiledMatchesReference) {
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kBaseline);
+  random_pipeline_matches_reference(GetParam());
+}
+
+TEST_P(CompiledRandomPipelineTest, CompiledMatchesReferenceAvx2) {
+  if (!row_kernels_supported(RowKernelIsa::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kAvx2);
+  random_pipeline_matches_reference(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledRandomPipelineTest,
                          ::testing::Range(1, 9));
+
+// ---------------------------------------------------------------------------
+// Row-kernel table dispatch.
+
+TEST(RowKernelDispatchTest, EvaluatorResolvesTableAtConstruction) {
+  EXPECT_STREQ(row_kernel_isa_name(RowKernelIsa::kBaseline), "baseline");
+  EXPECT_STREQ(row_kernel_isa_name(RowKernelIsa::kAvx2), "avx2");
+  EXPECT_TRUE(row_kernels_supported(RowKernelIsa::kBaseline));
+  const RowKernelIsa host = active_row_kernels();
+  EXPECT_TRUE(row_kernels_supported(host));
+  EXPECT_EQ(CompiledRowEvaluator().isa(), host);
+  {
+    const detail::ScopedRowKernels outer(RowKernelIsa::kBaseline);
+    const CompiledRowEvaluator ev;
+    EXPECT_EQ(ev.isa(), RowKernelIsa::kBaseline);
+    {
+      // An unsupported table falls back to baseline rather than SIGILL.
+      const detail::ScopedRowKernels inner(RowKernelIsa::kAvx2);
+      EXPECT_EQ(CompiledRowEvaluator().isa(),
+                row_kernels_supported(RowKernelIsa::kAvx2)
+                    ? RowKernelIsa::kAvx2
+                    : RowKernelIsa::kBaseline);
+      EXPECT_EQ(ev.isa(), RowKernelIsa::kBaseline);  // resolved already
+    }
+    EXPECT_EQ(active_row_kernels(), RowKernelIsa::kBaseline);
+  }
+  EXPECT_EQ(active_row_kernels(), host);
+}
 
 // ---------------------------------------------------------------------------
 // Superop fusion unit tests.
@@ -511,10 +567,7 @@ TEST(RegisterAllocationTest, LegacyOptionsGiveIdentityAssignment) {
 // sizes make most tile origins unaligned.  Both backends must stay
 // bit-identical to the scalar reference everywhere.
 
-class AdversarialTileTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(AdversarialTileTest, BitIdenticalOnHostileRowLengths) {
-  const std::string key = GetParam();
+void hostile_row_lengths(const std::string& key) {
   const PipelineSpec spec = make_benchmark(key, 24);
   const Pipeline& pl = *spec.pipeline;
   const CostModel model(pl, MachineModel::xeon_haswell());
@@ -540,6 +593,19 @@ TEST_P(AdversarialTileTest, BitIdenticalOnHostileRowLengths) {
     legacy.vector_backend = false;
     expect_outputs_match(pl, g, inputs, ref, legacy, label + " scalar-compiled");
   }
+}
+
+class AdversarialTileTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(AdversarialTileTest, BitIdenticalOnHostileRowLengths) {
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kBaseline);
+  hostile_row_lengths(GetParam());
+}
+
+TEST_P(AdversarialTileTest, BitIdenticalOnHostileRowLengthsAvx2) {
+  if (!row_kernels_supported(RowKernelIsa::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kAvx2);
+  hostile_row_lengths(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, AdversarialTileTest,

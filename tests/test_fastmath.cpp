@@ -252,7 +252,8 @@ TEST(FastTranscendentalsTest, CampipeWithinToleranceOfReference) {
   const Pipeline& pl = *spec.pipeline;
   const std::vector<Buffer> inputs = spec.make_inputs();
   const std::vector<Buffer> ref = run_reference(pl, inputs);
-  IncFusion inc(pl, CostModel(pl, MachineModel::xeon_haswell()));
+  const CostModel model(pl, MachineModel::xeon_haswell());
+  IncFusion inc(pl, model);  // keeps a reference to the model
   const Grouping g = inc.run();
 
   const std::vector<Buffer> outs =
@@ -278,7 +279,8 @@ TEST(NeverPessimizeTest, GateIsBitInvisible) {
     const PipelineSpec spec = make_benchmark(key, 16);
     const Pipeline& pl = *spec.pipeline;
     const std::vector<Buffer> inputs = spec.make_inputs();
-    IncFusion inc(pl, CostModel(pl, MachineModel::xeon_haswell()));
+    const CostModel model(pl, MachineModel::xeon_haswell());
+    IncFusion inc(pl, model);  // keeps a reference to the model
     const Grouping g = inc.run();
 
     const std::vector<Buffer> on =
@@ -299,7 +301,8 @@ TEST(NeverPessimizeTest, GateIsBitInvisible) {
 TEST(NeverPessimizeTest, VerdictsArePopulated) {
   const PipelineSpec spec = make_benchmark("campipe", 16);
   const Pipeline& pl = *spec.pipeline;
-  IncFusion inc(pl, CostModel(pl, MachineModel::xeon_haswell()));
+  const CostModel model(pl, MachineModel::xeon_haswell());
+  IncFusion inc(pl, model);  // keeps a reference to the model
   const Grouping g = inc.run();
 
   ExecOptions opts;
@@ -334,7 +337,8 @@ TEST(NeverPessimizeTest, VerdictsArePopulated) {
 TEST(NeverPessimizeTest, FastmathClearsLibmSuspicion) {
   const PipelineSpec spec = make_benchmark("campipe", 16);
   const Pipeline& pl = *spec.pipeline;
-  IncFusion inc(pl, CostModel(pl, MachineModel::xeon_haswell()));
+  const CostModel model(pl, MachineModel::xeon_haswell());
+  IncFusion inc(pl, model);  // keeps a reference to the model
   const Grouping g = inc.run();
 
   ExecOptions opts;

@@ -6,6 +6,7 @@
 #include "fusion/incremental.hpp"
 #include "fusion/polymage_greedy.hpp"
 #include "pipelines/pipelines.hpp"
+#include "runtime/compile.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/plan_printer.hpp"
 #include "support/stats.hpp"
@@ -72,6 +73,21 @@ TEST(PlanPrinterTest, ShowsLine15ChecksAndMarksStarvedGrids) {
   EXPECT_EQ(fine.find("cannot feed"), std::string::npos) << fine;
   // Without a model the plan text is unchanged.
   EXPECT_EQ(plan_to_string(lower(pl, whole)).find("line 15"),
+            std::string::npos);
+}
+
+TEST(PlanPrinterTest, HeaderNamesRowKernelTable) {
+  const PipelineSpec spec = make_unsharp(64, 64);
+  const Pipeline& pl = *spec.pipeline;
+  const CostModel model(pl, MachineModel::xeon_haswell());
+  const ExecutablePlan plan = lower(pl, singleton_grouping(pl, model));
+  const std::string host = plan_to_string(plan);
+  const std::string want =
+      std::string("\n// row kernels: ") +
+      row_kernel_isa_name(active_row_kernels()) + "\n";
+  EXPECT_NE(host.find(want), std::string::npos) << host;
+  const detail::ScopedRowKernels kernels(RowKernelIsa::kBaseline);
+  EXPECT_NE(plan_to_string(plan).find("\n// row kernels: baseline\n"),
             std::string::npos);
 }
 

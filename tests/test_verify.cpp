@@ -98,10 +98,21 @@ TEST(PipeGen, CoversTheVocabulary) {
 }
 
 TEST(Differ, SeedSweepIsClean) {
+  int avx2_seeds = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const DiffResult res = verify::diff_seed(seed);
     EXPECT_FALSE(res.diverged) << res.record.to_string();
     EXPECT_GT(res.runs, 0);
+    EXPECT_TRUE(row_kernels_supported(res.row_kernels));
+    avx2_seeds += res.row_kernels == RowKernelIsa::kAvx2;
+  }
+  // Each seed draws its row-kernel table, so a sweep covers both wherever
+  // the host can run both.
+  if (row_kernels_supported(RowKernelIsa::kAvx2)) {
+    EXPECT_GT(avx2_seeds, 0);
+    EXPECT_LT(avx2_seeds, 25);
+  } else {
+    EXPECT_EQ(avx2_seeds, 0);
   }
 }
 
@@ -132,10 +143,17 @@ TEST(Differ, PlantedMiscompileCaughtWithFullRecord) {
   EXPECT_NE(s.find("stage="), std::string::npos);
   EXPECT_NE(s.find("want=0x"), std::string::npos);
   EXPECT_NE(s.find("--replay 3"), std::string::npos);
+  // The record names the table that ran, so the replay is exact.
+  EXPECT_EQ(r.row_kernels, res.row_kernels);
+  EXPECT_NE(s.find(std::string("row_kernels=") +
+                   row_kernel_isa_name(res.row_kernels)),
+            std::string::npos)
+      << s;
 
   // The same seed must be clean once the fault is gone (nothing latched).
   const DiffResult clean = verify::diff_seed(3);
   EXPECT_FALSE(clean.diverged) << clean.record.to_string();
+  EXPECT_EQ(clean.row_kernels, res.row_kernels);
 }
 
 TEST(GuardArena, SyntheticOverrunDetectedCompiled) {

@@ -215,8 +215,8 @@ void verify_grouping(const Cli& cli, const Pipeline& pl, const Grouping& g,
   }
   std::printf(
       "verified: %d executor configs clean (bit-exact rungs + fastmath "
-      "tolerance rung)\n",
-      res.runs);
+      "tolerance rung), %s row kernels\n",
+      res.runs, row_kernel_isa_name(res.row_kernels));
 }
 
 int cmd_schedule(const Cli& cli, const std::string& bench) {

@@ -9,10 +9,11 @@
 //
 // Every seed deterministically generates a random pipeline, runs it through
 // all execution backends over randomized schedules, and bit-compares every
-// materialized stage against the scalar reference.  On divergence the full
-// record (stage, coordinate, bit patterns, options, schedule) is printed and
-// the exit code is 1; the usual fusedp exit-code map covers errors
-// (2 usage, 3 invalid input, 4 budget, 5 internal).
+// materialized stage against the scalar reference.  Each seed also draws
+// the row-kernel table (avx2 or baseline) its runs use.  On divergence the
+// full record (stage, coordinate, bit patterns, options, row-kernel table,
+// schedule) is printed and the exit code is 1; the usual fusedp exit-code
+// map covers errors (2 usage, 3 invalid input, 4 budget, 5 internal).
 #include <cstdio>
 #include <string>
 
@@ -66,9 +67,11 @@ int main(int argc, char** argv) {
     }
 
     int total_runs = 0;
+    std::uint64_t avx2_seeds = 0;
     for (std::uint64_t s = start; s < start + count; ++s) {
       const verify::DiffResult res = verify::diff_seed(s, opts);
       total_runs += res.runs;
+      if (res.row_kernels == RowKernelIsa::kAvx2) ++avx2_seeds;
       if (res.diverged) {
         std::printf("%s\n", res.record.to_string().c_str());
         return 1;
@@ -76,14 +79,16 @@ int main(int argc, char** argv) {
       if (replay) {
         std::printf(
             "seed %llu clean: %d executor configs (bit-exact rungs + "
-            "fastmath tolerance rung)\n",
-            static_cast<unsigned long long>(s), res.runs);
+            "fastmath tolerance rung), %s row kernels\n",
+            static_cast<unsigned long long>(s), res.runs,
+            row_kernel_isa_name(res.row_kernels));
         // Post-mortem timeline: re-execute the seed's pipeline through the
         // Session facade with the trace collector attached and export it.
         const std::string trace_path = cli.get("trace", "");
         if (!trace_path.empty()) {
           const auto pl = verify::generate_pipeline(s, opts.gen);
           const auto inputs = verify::generate_inputs(*pl, s);
+          const detail::ScopedRowKernels kernels(res.row_kernels);
           Options sopts;
           sopts.num_threads = opts.max_threads;
           sopts.collect_trace = true;
@@ -103,8 +108,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(s - start + 1),
                     static_cast<unsigned long long>(count));
     }
-    std::printf("%llu seed(s) clean: %d executor configs, zero divergences\n",
-                static_cast<unsigned long long>(count), total_runs);
+    std::printf(
+        "%llu seed(s) clean: %d executor configs, zero divergences "
+        "(row kernels: %llu seed(s) avx2, %llu baseline)\n",
+        static_cast<unsigned long long>(count), total_runs,
+        static_cast<unsigned long long>(avx2_seeds),
+        static_cast<unsigned long long>(count - avx2_seeds));
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "error [%s]: %s\n", error_code_name(e.code()),
