@@ -46,7 +46,7 @@ std::uint64_t Options::schedule_fingerprint() const {
   h.add_str("fusedp-options-v1");
   h.add_i32(static_cast<std::int32_t>(scheduler));
   h.add_u64(max_states);
-  h.add_i32(kBoundedInitialLimit);
+  h.add_i32(kBoundedMaxLimit);
   h.add_i64(greedy_t1);
   h.add_i64(greedy_t2);
   h.add_f64(greedy_tolerance);

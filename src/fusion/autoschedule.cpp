@@ -34,6 +34,15 @@ bool recoverable(ErrorCode code) {
          code == ErrorCode::kAllocationFailed;
 }
 
+// Why a failed DP tier rules out every wider one.
+const char* stop_reason(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kSearchBudgetExhausted: return "exceeded the state budget";
+    case ErrorCode::kDeadlineExceeded: return "ran out of time";
+    default: return "ran out of memory";
+  }
+}
+
 std::string attempt_label(const TierAttempt& a) {
   std::string s = schedule_tier_name(a.tier);
   if (a.tier == ScheduleTier::kBoundedDp)
@@ -86,6 +95,18 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     return opts.deadline_seconds > 0 && remaining() <= 0;
   };
 
+  // Records a tier that was not run.
+  const auto skip = [&](ScheduleTier tier, int group_limit, ErrorCode code,
+                        std::string detail) {
+    TierAttempt a;
+    a.tier = tier;
+    a.group_limit = group_limit;
+    a.code = code;
+    a.detail = std::move(detail);
+    emit_attempt(observer, a);
+    diag.attempts.push_back(std::move(a));
+  };
+
   // Runs one search attempt; returns true (and fills result.grouping) on
   // success, records the failure and returns false on a recoverable error.
   // Only DP tiers are gated by the ladder deadline — greedy and unfused are
@@ -93,19 +114,17 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
   // the deadline is already gone.
   const auto attempt = [&](ScheduleTier tier, int group_limit,
                            const auto& search) {
+    const bool deadline_gated =
+        tier == ScheduleTier::kFullDp || tier == ScheduleTier::kBoundedDp;
+    if (deadline_gated && out_of_time()) {
+      skip(tier, group_limit, ErrorCode::kDeadlineExceeded,
+           "skipped: ladder deadline already exhausted");
+      return false;
+    }
     TierAttempt a;
     a.tier = tier;
     a.group_limit = group_limit;
     WallTimer t;
-    const bool deadline_gated =
-        tier == ScheduleTier::kFullDp || tier == ScheduleTier::kBoundedDp;
-    if (deadline_gated && out_of_time()) {
-      a.code = ErrorCode::kDeadlineExceeded;
-      a.detail = "skipped: ladder deadline already exhausted";
-      emit_attempt(observer, a);
-      diag.attempts.push_back(std::move(a));
-      return false;
-    }
     try {
       result.grouping = search(a);
       a.succeeded = true;
@@ -149,27 +168,43 @@ ScheduleResult auto_schedule(const Pipeline& pl, const CostModel& model,
     }
   };
 
-  // Tier 1: the full, unbounded DP (Algorithm 1).
-  bool done = attempt(ScheduleTier::kFullDp, 0,
-                      [&](TierAttempt& a) { return run_dp(a, 0); });
-
-  // Tier 2: group-size-bounded DP passes (the building block of
-  // Algorithm 3), shrinking the limit — and with it the state space —
-  // until one fits the remaining budget.
-  for (int limit = kBoundedInitialLimit; !done && limit >= 2; limit /= 2) {
-    if (limit >= pl.num_stages()) continue;  // would repeat the full DP
-    done = attempt(ScheduleTier::kBoundedDp, limit,
-                   [&](TierAttempt& a) { return run_dp(a, limit); });
+  // DP tiers, narrowest first: bounded DP at group limits 2, 4, ...,
+  // kBoundedMaxLimit (each below the stage count, or it would repeat the
+  // full DP), then the full DP.  Each tier's state space contains the one
+  // before it, so once a tier fails every wider one would fail too, and
+  // the last tier that succeeded is the widest that fits.
+  std::vector<int> limits;
+  for (int limit = 2; limit <= kBoundedMaxLimit; limit *= 2)
+    if (limit < pl.num_stages()) limits.push_back(limit);
+  limits.push_back(0);
+  bool done = false;
+  std::string skipped;  // set once a DP tier fails: why the rest are skipped
+  ErrorCode skip_code = ErrorCode::kInternal;
+  for (const int limit : limits) {
+    const ScheduleTier tier =
+        limit > 0 ? ScheduleTier::kBoundedDp : ScheduleTier::kFullDp;
+    if (!skipped.empty()) {
+      skip(tier, limit, skip_code, skipped);
+    } else if (attempt(tier, limit,
+                       [&](TierAttempt& a) { return run_dp(a, limit); })) {
+      done = true;
+    } else {
+      const TierAttempt& failed = diag.attempts.back();
+      skip_code = failed.code;
+      skipped = "skipped: " + attempt_label(failed) + " " +
+                stop_reason(failed.code) +
+                "; every wider tier's state space contains it";
+    }
   }
 
-  // Tier 3: PolyMage-greedy — model-driven, no search explosion.
+  // No DP tier fitted: PolyMage-greedy — model-driven, no search explosion.
   if (!done)
     done = attempt(ScheduleTier::kGreedy, 0, [&](TierAttempt&) {
       const PolyMageGreedy greedy(pl, model);
       return greedy.run(opts.greedy_t1, opts.greedy_t2, opts.greedy_tolerance);
     });
 
-  // Tier 4: unfused floor.  Cannot fail short of OOM on tiny allocations,
+  // Unfused floor.  Cannot fail short of OOM on tiny allocations,
   // so no catch: at that point there is nothing left to degrade to.
   if (!done) {
     TierAttempt a;

@@ -6,14 +6,18 @@
 // paper's Algorithm 3 exists to bound DP time).  auto_schedule() runs the
 // search ladder
 //
-//     full DP  ->  bounded DP (Algorithm 3 passes with shrinking
-//                  group_limit)  ->  PolyMage-greedy  ->  unfused
+//     bounded DP (group_limit 2, 4, 8)  ->  full DP  ->  PolyMage-greedy
+//                                                    ->  unfused
 //
-// under a wall-clock deadline and a DP state budget.  Budget or deadline
-// exhaustion in one tier (Error codes kSearchBudgetExhausted /
-// kDeadlineExceeded / kAllocationFailed) drops to the next; the final
-// unfused tier cannot fail, so a valid schedule always comes back.  Which
-// tier won and why the others lost is recorded in Diagnostics.
+// under a wall-clock deadline and a DP state budget, narrowest DP tier
+// first.  A group limit only removes DP transitions, so each DP tier's
+// state space contains the one before it; the first DP tier that fails
+// (Error codes kSearchBudgetExhausted / kDeadlineExceeded /
+// kAllocationFailed) ends the DP tiers, the wider ones are recorded as
+// skipped, and the last DP tier that succeeded answers.  Only when the
+// first DP tier fails does the ladder drop to greedy; the final unfused
+// tier cannot fail, so a valid schedule always comes back.  Which tier won
+// and why the others lost is recorded in Diagnostics.
 #pragma once
 
 #include "fusion/dp.hpp"
@@ -33,9 +37,10 @@ enum class ScheduleTier : std::uint8_t {
 
 const char* schedule_tier_name(ScheduleTier tier);
 
-// First bounded-DP fallback group limit; halved per retry down to 2.  The
-// schedule cache key hashes it (Options::schedule_fingerprint).
-inline constexpr int kBoundedInitialLimit = 8;
+// Widest bounded-DP group limit: the bounded tiers run at 2, 4, ... up to
+// it, doubling, before the full DP.  The schedule cache key hashes it
+// (Options::schedule_fingerprint).
+inline constexpr int kBoundedMaxLimit = 8;
 
 struct AutoScheduleOptions {
   // Wall-clock budget across all search tiers; <= 0 means no deadline.
@@ -61,7 +66,9 @@ struct TierAttempt {
 
 struct Diagnostics {
   ScheduleTier tier = ScheduleTier::kUnfused;  // tier that produced the result
-  std::vector<TierAttempt> attempts;           // in ladder order
+  // In ladder order.  DP tiers that a narrower tier's failure ruled out
+  // appear with 0 states and a "skipped: ..." detail.
+  std::vector<TierAttempt> attempts;
   std::uint64_t total_states = 0;
   double total_seconds = 0.0;
 
@@ -74,8 +81,8 @@ struct ScheduleResult {
   Diagnostics diagnostics;
 };
 
-// Never throws for budget/deadline/allocation exhaustion — those demote to
-// the next tier.  Errors that no tier can fix (invalid pipeline) still
+// Never throws for budget/deadline/allocation exhaustion — those end the DP
+// tiers.  Errors that no tier can fix (invalid pipeline) still
 // propagate.  The returned grouping always passes validate_grouping().
 // A non-null `observer` receives every ladder attempt (successful or not)
 // as an observe::ScheduleAttempt the moment it resolves, in addition to its
