@@ -274,6 +274,7 @@ std::size_t shoot_out(const Pipeline& pl, const Options& opts,
   const ExecOptions eo = make_exec_options(opts);
   int best = -1;
   double best_ms = 0.0;
+  std::unique_ptr<Executor> best_ex;
   bool expired = false;
   for (std::size_t ci = 0; ci < cands.size() && !expired; ++ci) {
     observe::ScheduleAttempt at;
@@ -288,18 +289,19 @@ std::size_t shoot_out(const Pipeline& pl, const Options& opts,
       if (odl != nullptr && odl->expired())
         throw Error("measured rung: open deadline expired",
                     ErrorCode::kDeadlineExceeded);
-      Executor ex(pl, cands[ci], eo);
+      auto ex = std::make_unique<Executor>(pl, cands[ci], eo);
       Workspace cand_ws;
       double ms = 0.0;
       for (int r = 0; r < opts.measured_repeats; ++r) {
         WallTimer t;
-        ex.run(*warm, cand_ws, nullptr, odl);
+        ex->run(*warm, cand_ws, nullptr, odl);
         const double s = t.seconds() * 1e3;
         if (r == 0 || s < ms) ms = s;
       }
       if (best < 0 || ms < best_ms) {
         best = static_cast<int>(ci);
         best_ms = ms;
+        best_ex = std::move(ex);
       }
       at.succeeded = true;
       std::ostringstream os;
@@ -333,14 +335,14 @@ std::size_t shoot_out(const Pipeline& pl, const Options& opts,
   if (best < 0) return 0;
   const std::size_t win = static_cast<std::size_t>(best);
 
-  // Harvest the winner's per-group measured times from one traced run;
-  // they ride along in the find-db record (measured_ms) and feed `fusedp
-  // tune`.  Best-effort: a failure here never loses the chosen schedule.
+  // Harvest the winner's per-group measured times from one traced run of
+  // its timed executor; they ride along in the find-db record
+  // (measured_ms) and feed `fusedp tune`.  Best-effort: a failure here
+  // never loses the chosen schedule.
   try {
     observe::TraceCollector tc(false);
-    Executor ex(pl, cands[win], eo);
     Workspace cand_ws;
-    ex.run(*warm, cand_ws, &tc, odl);
+    best_ex->run(*warm, cand_ws, &tc, odl);
     const observe::RunTrace* t = tc.last();
     if (t != nullptr) {
       measured_ms.assign(cands[win].groups.size(), 0.0);
@@ -382,24 +384,14 @@ Grouping with_predicted_costs(const Pipeline& pl, const MachineModel& machine,
 }  // namespace
 
 // What the find-db probe hands the later phases: the cache (null when off
-// or unopenable) and this open's key, plus a hit that parsed and validated.
+// or unopenable) and this open's key.
 struct Session::CacheProbe {
   std::unique_ptr<findb::FindDb> db;
   findb::CacheKey key;
-  bool hit = false;
-  Grouping grouping;  // the hit's schedule, with its recorded costs
-  Diagnostics diag;   // the hit's: no search ran
 };
 
-// A fresh search's result.
-struct Session::Found {
-  Grouping grouping;
-  Diagnostics diag;
-  std::vector<double> measured_ms;  // kMeasured winners only, group order
-};
-
-// Every open route constructs its session first, so the sinks wired here
-// see the probe and search events as they happen.
+// Both steps construct their session first, so the sinks wired here see
+// the probe and search events as they happen.
 Session::Session(const Pipeline& pl, Options opts)
     : pl_(&pl), opts_(std::move(opts)) {
   if (opts_.collect_trace)
@@ -418,7 +410,7 @@ observe::Observer* Session::effective_observer() const {
 void Session::emit_cache_event(observe::CacheEvent ev) {
   if (observe::Observer* obs = effective_observer())
     obs->on_cache_event(ev);
-  cache_events_.push_back(std::move(ev));
+  schedule_.cache_events.push_back(std::move(ev));
 }
 
 // The degradation ladder, leanest-last.  Every rung computes bit-identical
@@ -468,7 +460,8 @@ Executor* Session::attempt_executor(std::size_t i) {
       Grouping g = singleton_grouping(*pl_, model);
       r.executor = std::make_unique<Executor>(*pl_, g, r.exec);
     } else {
-      r.executor = std::make_unique<Executor>(*pl_, grouping_, r.exec);
+      r.executor =
+          std::make_unique<Executor>(*pl_, schedule_.grouping, r.exec);
     }
   }
   return r.executor.get();
@@ -476,8 +469,9 @@ Executor* Session::attempt_executor(std::size_t i) {
 
 // Phase 1: the find-db probe.  A hit is still untrusted bytes: its
 // schedule text goes back through the hardened parser and grouping
-// validation against *this* pipeline before it counts as a hit.  A hit
-// streams a "cache" schedule attempt after the probe's cache event.
+// validation against *this* pipeline before it counts as a hit, which
+// lands in schedule_ as a warm start.  A hit streams a "cache" schedule
+// attempt after the probe's cache event.
 Session::CacheProbe Session::probe(const Deadline* deadline) {
   CacheProbe p;
   if (opts_.cache_mode == findb::CacheMode::kOff) return p;
@@ -497,19 +491,19 @@ Session::CacheProbe Session::probe(const Deadline* deadline) {
       Result<Grouping> g =
           try_grouping_from_text(*pl_, pr.record.schedule_text);
       if (g.ok()) {
-        p.hit = true;
-        p.grouping = std::move(g).value();
-        p.diag.tier = tier_from_rung(pr.record.rung);
-        p.diag.total_seconds = pr.seconds;
+        Grouping& hit = schedule_.grouping = std::move(g).value();
+        schedule_.warm_start = true;
+        schedule_.diagnostics.tier = tier_from_rung(pr.record.rung);
+        schedule_.diagnostics.total_seconds = pr.seconds;
         // The schedule text carries no costs; restore the record's
         // per-group predictions so reports stay populated on warm starts.
-        if (pr.record.predicted.size() == p.grouping.groups.size()) {
+        if (pr.record.predicted.size() == hit.groups.size()) {
           double total = 0.0;
-          for (std::size_t i = 0; i < p.grouping.groups.size(); ++i) {
-            p.grouping.groups[i].cost = pr.record.predicted[i];
+          for (std::size_t i = 0; i < hit.groups.size(); ++i) {
+            hit.groups[i].cost = pr.record.predicted[i];
             total += pr.record.predicted[i];
           }
-          p.grouping.total_cost = total;
+          hit.total_cost = total;
         }
       } else {
         ev.outcome = "invalid-schedule";
@@ -520,14 +514,14 @@ Session::CacheProbe Session::probe(const Deadline* deadline) {
     }
     emit_cache_event(std::move(ev));
     observe::Observer* obs = effective_observer();
-    if (p.hit && obs != nullptr) {
+    if (schedule_.warm_start && obs != nullptr) {
       observe::ScheduleAttempt at;
       at.tier = "cache";
       at.succeeded = true;
       at.seconds = pr.seconds;
       std::ostringstream os;
-      os << p.grouping.groups.size() << " groups from cache (found by "
-         << pr.record.rung << ")";
+      os << schedule_.grouping.groups.size()
+         << " groups from cache (found by " << pr.record.rung << ")";
       at.detail = os.str();
       obs->on_schedule_attempt(at);
     }
@@ -539,19 +533,23 @@ Session::CacheProbe Session::probe(const Deadline* deadline) {
     ev.outcome = "io-error";
     ev.detail = "unexpected exception during cache probe";
     emit_cache_event(std::move(ev));
-    p.hit = false;
+    schedule_.warm_start = false;
   }
   return p;
 }
 
-// Phase 2: a fresh schedule search with opts_.scheduler.  Throws the
-// scheduler's coded errors (e.g. kSearchBudgetExhausted from kDp).
-Session::Found Session::search(const Deadline& deadline) {
+// Phase 2: a fresh schedule search with opts_.scheduler into schedule_.
+// Returns the kMeasured winner's per-group measured ms (empty for the
+// other schedulers).  Throws the scheduler's coded errors (e.g.
+// kSearchBudgetExhausted from kDp).
+std::vector<double> Session::search(const Deadline& deadline) {
   const Pipeline& pl = *pl_;
   const Deadline* odl = deadline.armed() ? &deadline : nullptr;
   observe::Observer* obs = effective_observer();
   const CostModel model(pl, opts_.machine);
-  Found f;
+  Grouping& g = schedule_.grouping;
+  Diagnostics& diag = schedule_.diagnostics = Diagnostics{};
+  std::vector<double> measured_ms;
   WallTimer timer;
   switch (opts_.scheduler) {
     case Scheduler::kAuto: {
@@ -562,8 +560,8 @@ Session::Found Session::search(const Deadline& deadline) {
       if (odl != nullptr)
         ao.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
       ScheduleResult sr = auto_schedule(pl, model, ao, obs);
-      f.grouping = std::move(sr.grouping);
-      f.diag = std::move(sr.diagnostics);
+      g = std::move(sr.grouping);
+      diag = std::move(sr.diagnostics);
       break;
     }
     case Scheduler::kDp: {
@@ -571,8 +569,8 @@ Session::Found Session::search(const Deadline& deadline) {
       dopts.max_states = opts_.max_states;
       if (odl != nullptr)
         dopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
-      f.grouping = DpFusion(pl, model, dopts).run();
-      f.diag.tier = ScheduleTier::kFullDp;
+      g = DpFusion(pl, model, dopts).run();
+      diag.tier = ScheduleTier::kFullDp;
       break;
     }
     case Scheduler::kIncremental: {
@@ -580,23 +578,22 @@ Session::Found Session::search(const Deadline& deadline) {
       iopts.max_states = opts_.max_states;
       if (odl != nullptr)
         iopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
-      f.grouping = IncFusion(pl, model, iopts).run();
-      f.diag.tier = ScheduleTier::kBoundedDp;  // group-limited DP passes
+      g = IncFusion(pl, model, iopts).run();
+      diag.tier = ScheduleTier::kBoundedDp;  // group-limited DP passes
       break;
     }
     case Scheduler::kGreedy:
-      f.grouping = PolyMageGreedy(pl, model)
-                       .run(opts_.greedy_t1, opts_.greedy_t2,
-                            opts_.greedy_tolerance);
-      f.diag.tier = ScheduleTier::kGreedy;
+      g = PolyMageGreedy(pl, model)
+              .run(opts_.greedy_t1, opts_.greedy_t2, opts_.greedy_tolerance);
+      diag.tier = ScheduleTier::kGreedy;
       break;
     case Scheduler::kHalideAuto:
-      f.grouping = HalideAuto(pl, model).run();
-      f.diag.tier = ScheduleTier::kGreedy;  // nearest tier label
+      g = HalideAuto(pl, model).run();
+      diag.tier = ScheduleTier::kGreedy;  // nearest tier label
       break;
     case Scheduler::kUnfused:
-      f.grouping = singleton_grouping(pl, model);
-      f.diag.tier = ScheduleTier::kUnfused;
+      g = singleton_grouping(pl, model);
+      diag.tier = ScheduleTier::kUnfused;
       break;
     case Scheduler::kMeasured: {
       // k-best DP, then the measured shoot-out between the candidates.
@@ -605,15 +602,17 @@ Session::Found Session::search(const Deadline& deadline) {
       dopts.top_k = opts_.measured_top_k;
       if (odl != nullptr)
         dopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
-      std::vector<Grouping> cands = DpFusion(pl, model, dopts).run_top_k();
-      f.diag.tier = ScheduleTier::kFullDp;
+      DpFusion dp(pl, model, dopts);
+      std::vector<Grouping> cands = dp.run_top_k();
+      diag.tier = ScheduleTier::kFullDp;
+      diag.total_states = dp.stats().groupings_enumerated;
       const std::size_t win =
-          shoot_out(pl, opts_, cands, odl, obs, f.diag, f.measured_ms);
-      f.grouping = std::move(cands[win]);
+          shoot_out(pl, opts_, cands, odl, obs, diag, measured_ms);
+      g = std::move(cands[win]);
       break;
     }
   }
-  f.diag.total_seconds = timer.seconds();
+  diag.total_seconds = timer.seconds();
   // kAuto streams its ladder attempts itself; synthesize the one-shot
   // record for the direct schedulers so traces always show how the
   // schedule came to be.
@@ -621,23 +620,25 @@ Session::Found Session::search(const Deadline& deadline) {
     observe::ScheduleAttempt at;
     at.tier = scheduler_name(opts_.scheduler);
     at.succeeded = true;
-    at.seconds = f.diag.total_seconds;
+    at.seconds = diag.total_seconds;
     std::ostringstream os;
-    os << f.grouping.groups.size() << " groups, model cost "
-       << f.grouping.total_cost;
+    os << g.groups.size() << " groups, model cost " << g.total_cost;
     at.detail = os.str();
     obs->on_schedule_attempt(at);
   }
-  return f;
+  return measured_ms;
 }
 
-// Phase 3: persist a freshly found schedule so the next open warm-starts.
-// Store failures (lock contention, injected faults, a full disk) are coded
-// events, never open failures — the session is already good.
-void Session::store(const CacheProbe& probe, const Found& found,
+// Phase 3: persist the freshly found schedule_ so the next open
+// warm-starts.  Store failures (lock contention, injected faults, a full
+// disk) are coded events, never open failures — the schedule is already
+// good.
+void Session::store(const CacheProbe& probe,
+                    const std::vector<double>& measured_ms,
                     const Deadline* deadline) {
   if (probe.db == nullptr || opts_.cache_mode != findb::CacheMode::kReadWrite)
     return;
+  const Grouping& g = schedule_.grouping;
   findb::CacheRecord rec;
   rec.pipeline = pl_->name();
   rec.git_sha = build_git_sha();
@@ -645,13 +646,12 @@ void Session::store(const CacheProbe& probe, const Found& found,
   // maps it back to kFullDp).
   rec.rung = opts_.scheduler == Scheduler::kMeasured
                  ? "measured"
-                 : schedule_tier_name(found.diag.tier);
+                 : schedule_tier_name(schedule_.diagnostics.tier);
   rec.created_unix = static_cast<std::int64_t>(::time(nullptr));
-  rec.predicted.reserve(found.grouping.groups.size());
-  for (const GroupSchedule& gs : found.grouping.groups)
-    rec.predicted.push_back(gs.cost);
-  rec.measured_ms = found.measured_ms;
-  rec.schedule_text = grouping_to_text(*pl_, found.grouping);
+  rec.predicted.reserve(g.groups.size());
+  for (const GroupSchedule& gs : g.groups) rec.predicted.push_back(gs.cost);
+  rec.measured_ms = measured_ms;
+  rec.schedule_text = grouping_to_text(*pl_, g);
   WallTimer store_timer;
   Result<bool> st = probe.db->store(probe.key, rec, deadline);
   observe::CacheEvent ev;
@@ -664,30 +664,34 @@ void Session::store(const CacheProbe& probe, const Found& found,
   emit_cache_event(std::move(ev));
 }
 
-// Phase 4, the one exit of every open route: lowers `grouping` to the
-// primary executor and lays out the degradation rungs.  On failure `s`
-// keeps its options, sinks and cache events untouched, so the warm route
-// can still fall back to a fresh search with them.
-Result<Session> Session::assemble(Session& s, Grouping grouping,
-                                  Diagnostics diag) {
-  Result<bool> built = coded<bool>([&] {
-    if (s.warm_start_) FUSEDP_FAULT_POINT("session.warm_plan");
-    s.grouping_ = std::move(grouping);
-    s.diag_ = std::move(diag);
-    s.exec_ = std::make_unique<Executor>(*s.pl_, s.grouping_,
-                                         make_exec_options(s.opts_));
-    s.build_rungs();
+// Phase 4, the compile step: lowers schedule_.grouping to the primary
+// executor and lays out the degradation rungs.  On failure the session
+// keeps its options, sinks and cache events untouched, so steps() can
+// still fall back to a fresh search with them.
+Result<bool> Session::assemble() {
+  return coded<bool>([&] {
+    if (schedule_.warm_start) FUSEDP_FAULT_POINT("session.warm_plan");
+    exec_ = std::make_unique<Executor>(*pl_, schedule_.grouping,
+                                       make_exec_options(opts_));
+    build_rungs();
     return true;
   });
-  if (!built.ok()) return built.error();
-  return Result<Session>(std::move(s));
 }
 
-Result<Session> Session::open(const Pipeline& pl, Options opts) {
+// Every route: the schedule step into schedule_ — a caller's grouping
+// (`given`) or probe -> search -> store — and, with `compile`, the compile
+// step.  Compiling here lets a cached grouping that fails to compile fall
+// back to a fresh search.
+Result<Session> Session::steps(const Pipeline& pl, const Grouping* given,
+                               Options opts, bool compile) {
   if (Result<bool> pre = prepare_open(pl, opts); !pre.ok())
     return pre.error();
+  std::string why;
+  if (given != nullptr && !validate_grouping(pl, *given, &why))
+    return Result<Session>::failure(
+        ErrorCode::kInvalidSchedule,
+        "Session::open: grouping does not validate: " + why);
   Session s(pl, std::move(opts));
-
   // One clock for the whole open: the schedule-search deadline also bounds
   // the cache probe and its lock wait, so a wedged or slow cache directory
   // can never stall an open longer than a cache-off search would.
@@ -696,61 +700,65 @@ Result<Session> Session::open(const Pipeline& pl, Options opts) {
                                      : Deadline();
   const Deadline* odl = open_deadline.armed() ? &open_deadline : nullptr;
 
-  CacheProbe cached = s.probe(odl);
-  if (cached.hit) {
-    s.warm_start_ = true;
-    Result<Session> warm =
-        assemble(s, std::move(cached.grouping), std::move(cached.diag));
-    if (warm.ok()) return warm;
-    // The cached schedule parsed but failed plan construction (footprint
-    // checks, lowering): coded event, evict, fall through to a fresh
-    // search as if it had been a miss.
-    s.warm_start_ = false;
-    observe::CacheEvent ev;
-    ev.action = "probe";
-    ev.outcome = "invalid-schedule";
-    ev.detail =
-        std::string("plan rejected cached schedule: ") + warm.error().what();
-    s.emit_cache_event(std::move(ev));
-    if (s.opts_.cache_mode == findb::CacheMode::kReadWrite)
-      (void)cached.db->evict(cached.key);
+  if (given != nullptr) {
+    // A caller-provided grouping overrides the cache: record that the cache
+    // was configured but deliberately not consulted.
+    if (s.opts_.cache_mode != findb::CacheMode::kOff)
+      s.emit_cache_event({.action = "probe",
+                          .outcome = "bypass",
+                          .detail = "caller-provided grouping"});
+    Result<Grouping> g = coded<Grouping>(
+        [&] { return with_predicted_costs(pl, s.opts_.machine, *given); });
+    if (!g.ok()) return g.error();
+    s.schedule_.grouping = std::move(g).value();
+  } else {
+    CacheProbe cached = s.probe(odl);
+    if (s.schedule_.warm_start) {
+      Result<bool> warm = compile ? s.assemble() : true;
+      if (warm.ok()) return Result<Session>(std::move(s));
+      // The cached schedule parsed but failed plan construction (footprint
+      // checks, lowering): coded event, evict, fall through to a fresh
+      // search as if it had been a miss.
+      s.schedule_.warm_start = false;
+      s.emit_cache_event(
+          {.action = "probe",
+           .outcome = "invalid-schedule",
+           .detail = std::string("plan rejected cached schedule: ") +
+                     warm.error().what()});
+      if (s.opts_.cache_mode == findb::CacheMode::kReadWrite)
+        (void)cached.db->evict(cached.key);
+    }
+    Result<bool> found = coded<bool>([&] {
+      s.store(cached, s.search(open_deadline), odl);
+      return true;
+    });
+    if (!found.ok()) return found.error();
   }
+  if (compile)
+    if (Result<bool> built = s.assemble(); !built.ok()) return built.error();
+  return Result<Session>(std::move(s));
+}
 
-  Result<Found> found = coded<Found>([&] {
-    Found f = s.search(open_deadline);
-    s.store(cached, f, odl);
-    return f;
-  });
-  if (!found.ok()) return found.error();
-  Found f = std::move(found).value();
-  return assemble(s, std::move(f.grouping), std::move(f.diag));
+Result<Schedule> Session::schedule(const Pipeline& pl, Options opts) {
+  Result<Session> s = steps(pl, nullptr, std::move(opts), false);
+  if (!s.ok()) return s.error();
+  return std::move(s).value().schedule_;
+}
+
+Result<Schedule> Session::schedule(const Pipeline& pl,
+                                   const Grouping& grouping, Options opts) {
+  Result<Session> s = steps(pl, &grouping, std::move(opts), false);
+  if (!s.ok()) return s.error();
+  return std::move(s).value().schedule_;
+}
+
+Result<Session> Session::open(const Pipeline& pl, Options opts) {
+  return steps(pl, nullptr, std::move(opts), /*compile=*/true);
 }
 
 Result<Session> Session::open(const Pipeline& pl, const Grouping& grouping,
                               Options opts) {
-  if (Result<bool> pre = prepare_open(pl, opts); !pre.ok())
-    return pre.error();
-
-  std::string why;
-  if (!validate_grouping(pl, grouping, &why))
-    return Result<Session>::failure(
-        ErrorCode::kInvalidSchedule,
-        "Session::open: grouping does not validate: " + why);
-
-  Session s(pl, std::move(opts));
-  // A caller-provided grouping overrides the cache: record that the cache
-  // was configured but deliberately not consulted.
-  if (s.opts_.cache_mode != findb::CacheMode::kOff) {
-    observe::CacheEvent ev;
-    ev.action = "probe";
-    ev.outcome = "bypass";
-    ev.detail = "caller-provided grouping";
-    s.emit_cache_event(std::move(ev));
-  }
-  Result<Grouping> g = coded<Grouping>(
-      [&] { return with_predicted_costs(pl, s.opts_.machine, grouping); });
-  if (!g.ok()) return g.error();
-  return assemble(s, std::move(g).value(), Diagnostics{});
+  return steps(pl, &grouping, std::move(opts), /*compile=*/true);
 }
 
 Result<double> Session::execute(const std::vector<Buffer>& inputs) {
@@ -792,9 +800,9 @@ Result<double> Session::execute(const std::vector<Buffer>& inputs) {
 
   observe::Observer* obs = effective_observer();
   observe::RunReport report;
-  if (!cache_events_.empty())
-    report.cache_outcome = cache_events_.front().outcome;
-  report.warm_start = warm_start_;
+  if (!schedule_.cache_events.empty())
+    report.cache_outcome = schedule_.cache_events.front().outcome;
+  report.warm_start = schedule_.warm_start;
   WallTimer total;
   Error last(std::string("Session::execute: no attempts"),
              ErrorCode::kInternal);

@@ -1,4 +1,4 @@
-// The FuseDP session facade: one object owning the plan -> schedule ->
+// The FuseDP session facade: one object owning the schedule -> compile ->
 // execute lifecycle behind a single validated Options struct.
 //
 //   fusedp::Pipeline pl = ...;            // build stages, pl.finalize()
@@ -8,11 +8,14 @@
 //   if (!session.ok()) { /* session.error().code() says why */ }
 //   auto out = session.value().run(inputs);
 //
-// Session::open schedules the pipeline (or validates a caller-provided
-// Grouping), lowers it to an ExecutablePlan, and compiles the stage
-// programs once; execute()/run() then replay the plan against fresh inputs
-// without re-planning.  Every failure comes back as a coded Result — the
-// facade never throws for bad options, bad schedules, or runtime faults.
+// Opening is two steps.  Session::schedule, the schedule step, probes the
+// schedule cache, searches on a miss and stores the result; it returns a
+// plain Schedule and builds no plan (only kMeasured's search times
+// candidate executors).  Session::open adds the compile step: it lowers
+// the grouping to an ExecutablePlan and compiles the stage programs once;
+// execute()/run() then replay the plan against fresh inputs without
+// re-planning.  Every failure comes back as a coded Result — the facade
+// never throws for bad options, bad schedules, or runtime faults.
 //
 // Observability: with Options::collect_trace the session attaches its own
 // observe::TraceCollector and exposes the resulting RunTrace via trace(),
@@ -39,8 +42,9 @@ namespace fusedp {
 // Which schedule search produces the session's grouping.  The enum values
 // feed the cache key, so new entries go at the end.
 enum class Scheduler : std::uint8_t {
-  kAuto = 0,    // deadline-bounded ladder: full DP -> bounded DP -> greedy
-                // -> unfused (fusion/autoschedule); never fails on budget
+  kAuto = 0,    // deadline-bounded ladder: bounded DP at group limits 2,
+                // 4, 8, then full DP, narrowest first, then greedy ->
+                // unfused (fusion/autoschedule); never fails on budget
   kDp,          // unbounded DP (paper Algorithm 1); may fail on budget or
                 // deadline
   kGreedy,      // PolyMage-greedy heuristic
@@ -185,17 +189,37 @@ inline ExecOptions make_exec_options(const Options& opts) { return opts; }
 // violation on its own "- " line), so callers fix their config in one pass.
 Result<bool> validate_options(const Options& opts);
 
+// The schedule step's result: what an open decides before it compiles.
+struct Schedule {
+  Grouping grouping;  // with its per-group model costs
+  // Search post-mortem: the kAuto ladder's tiers or one attempt per
+  // kMeasured candidate, else empty.  A warm start ran no search: empty
+  // attempts, zero total_states.
+  Diagnostics diagnostics;
+  // Every cache interaction (probe, store, evictions), in order; empty
+  // when Options::cache_mode was kOff.
+  std::vector<observe::CacheEvent> cache_events;
+  bool warm_start = false;  // the grouping came from the cache
+};
+
 class Session {
  public:
-  // Schedules `pl` with opts.scheduler and prepares the executable plan.
-  // Fails with kInvalidPipeline (unfinalized/empty pipeline),
-  // kInvalidArgument (bad options), or the scheduler's own coded error
-  // (e.g. kSearchBudgetExhausted or kDeadlineExceeded from Scheduler::kDp).
-  static Result<Session> open(const Pipeline& pl, Options opts = {});
+  // The schedule step: schedules `pl` with opts.scheduler through the
+  // cache and stops there.  Fails with kInvalidPipeline (unfinalized/empty
+  // pipeline), kInvalidArgument (bad options), or the scheduler's own
+  // coded error (e.g. kSearchBudgetExhausted or kDeadlineExceeded from
+  // Scheduler::kDp).
+  static Result<Schedule> schedule(const Pipeline& pl, Options opts = {});
   // Uses a caller-provided grouping instead of searching; fails with
   // kInvalidSchedule if it does not validate against `pl`.  Missing
   // per-group costs are filled from the cost model (tile sizes are left
   // exactly as given).
+  static Result<Schedule> schedule(const Pipeline& pl,
+                                   const Grouping& grouping,
+                                   Options opts = {});
+  // schedule(), then the compile step.  A cached grouping that fails to
+  // compile is evicted and searched again.
+  static Result<Session> open(const Pipeline& pl, Options opts = {});
   static Result<Session> open(const Pipeline& pl, const Grouping& grouping,
                               Options opts = {});
 
@@ -222,24 +246,17 @@ class Session {
 
   const Pipeline& pipeline() const { return *pl_; }
   const Options& options() const { return opts_; }
-  const Grouping& grouping() const { return grouping_; }
+  const Grouping& grouping() const { return schedule_.grouping; }
   const ExecutablePlan& plan() const { return exec_->plan(); }
   // The primary executor.  Callers may run it concurrently on their own
   // distinct Workspaces (api/serve.hpp does), bypassing the session's
   // workspace, deadline and degradation ladder.
   const Executor& executor() const { return *exec_; }
-  // Schedule-search post-mortem.  attempts holds the kAuto ladder's tiers
-  // or one attempt per kMeasured candidate, and is empty for the other
-  // schedulers.  A warm start has empty attempts and zero total_states: no
-  // search ran.
-  const Diagnostics& diagnostics() const { return diag_; }
-
-  // True when the schedule came from the persistent cache (no search ran).
-  bool warm_start() const { return warm_start_; }
-  // Every cache interaction at open (probe, store, evictions), in order;
-  // empty when Options::cache_mode was kOff.
+  // The open's Schedule, field by field (see Schedule).
+  const Diagnostics& diagnostics() const { return schedule_.diagnostics; }
+  bool warm_start() const { return schedule_.warm_start; }
   const std::vector<observe::CacheEvent>& cache_events() const {
-    return cache_events_;
+    return schedule_.cache_events;
   }
 
   // The last run's trace; nullptr unless Options::collect_trace and at
@@ -258,20 +275,20 @@ class Session {
   const observe::RunReport& last_report() const { return report_; }
 
  private:
-  // The open phases (session.cpp).  Every route constructs its session
-  // first — the constructor wires the observability sinks, so probe and
-  // search events stream to them as they happen — then runs probe ->
-  // search -> store as it needs and ends in assemble().
+  // The open phases (session.cpp).  steps() constructs the session first
+  // — the constructor wires the observability sinks, so probe and search
+  // events stream to them as they happen — then runs probe -> search ->
+  // store into schedule_ and, with `compile`, assemble().
   struct CacheProbe;
-  struct Found;
   Session(const Pipeline& pl, Options opts);
+  static Result<Session> steps(const Pipeline& pl, const Grouping* given,
+                               Options opts, bool compile);
   CacheProbe probe(const Deadline* deadline);
-  Found search(const Deadline& deadline);
-  void store(const CacheProbe& probe, const Found& found,
+  std::vector<double> search(const Deadline& deadline);
+  void store(const CacheProbe& probe, const std::vector<double>& measured_ms,
              const Deadline* deadline);
-  static Result<Session> assemble(Session& s, Grouping grouping,
-                                  Diagnostics diag);
-  // Streams `ev` to the observer and records it in cache_events_.
+  Result<bool> assemble();
+  // Streams `ev` to the observer and records it in schedule_.
   void emit_cache_event(observe::CacheEvent ev);
 
   // One fallback rung of the degradation ladder (the primary attempt runs
@@ -291,8 +308,7 @@ class Session {
 
   const Pipeline* pl_;
   Options opts_;
-  Grouping grouping_;
-  Diagnostics diag_;
+  Schedule schedule_;
   // unique_ptrs keep observer addresses stable across Session moves.
   std::unique_ptr<observe::TraceCollector> collector_;
   std::unique_ptr<observe::TeeObserver> tee_;
@@ -301,8 +317,6 @@ class Session {
   Workspace ws_;
   observe::RunReport report_;
   bool ran_ = false;
-  bool warm_start_ = false;
-  std::vector<observe::CacheEvent> cache_events_;
 
   observe::Observer* effective_observer() const;
 };

@@ -71,7 +71,8 @@ std::string Diagnostics::summary() const {
     const TierAttempt& a = attempts[i];
     out << "  [" << i + 1 << "] " << attempt_label(a) << ": ";
     if (a.succeeded)
-      out << "ok (" << a.states << " states, " << a.seconds << "s)";
+      out << "ok (" << a.states << " states, " << a.seconds << "s)"
+          << (a.detail.empty() ? "" : " ") << a.detail;
     else
       out << "failed after " << a.states << " states, " << a.seconds
           << "s [" << error_code_name(a.code) << "] " << a.detail;

@@ -41,7 +41,6 @@ class Pipeline {
   int num_stages() const { return static_cast<int>(stages_.size()); }
   int num_inputs() const { return static_cast<int>(inputs_.size()); }
   const Stage& stage(int id) const { return stages_[static_cast<std::size_t>(id)]; }
-  Stage& stage_mut(int id) { return stages_[static_cast<std::size_t>(id)]; }
   const InputImage& input(int id) const {
     return inputs_[static_cast<std::size_t>(id)];
   }

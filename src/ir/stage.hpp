@@ -43,17 +43,6 @@ struct Stage {
 
   int rank() const { return domain.rank; }
   std::int64_t volume() const { return domain.volume(); }
-
-  // True if any load carries a data-dependent (Dynamic) axis: such edges can
-  // never have constant dependence vectors and therefore cannot be fused.
-  bool has_dynamic_access_to(ProducerRef p) const {
-    for (const Access& a : loads) {
-      if (!(a.producer == p)) continue;
-      for (const AxisMap& m : a.axes)
-        if (m.kind == AxisMap::Kind::kDynamic) return true;
-    }
-    return false;
-  }
 };
 
 }  // namespace fusedp

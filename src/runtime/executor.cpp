@@ -18,6 +18,7 @@ namespace fusedp {
 
 namespace {
 
+// A dense row-major view of `region` over `data`.
 BufferView view_of_region(float* data, const Box& region) {
   BufferView v;
   v.data = data;
@@ -50,28 +51,6 @@ void for_each_row(const Box& box, Fn&& fn) {
   }
 }
 
-}  // namespace
-
-namespace {
-
-BufferView dense_view_over(float* data, const Box& domain) {
-  BufferView v;
-  v.data = data;
-  v.rank = domain.rank;
-  std::int64_t stride = 1;
-  for (int d = domain.rank - 1; d >= 0; --d) {
-    v.origin[d] = domain.lo[d];
-    v.extent[d] = domain.extent(d);
-    v.stride[d] = stride;
-    stride *= domain.extent(d);
-  }
-  return v;
-}
-
-}  // namespace
-
-namespace {
-
 // Reuses `b` when it already matches `extents`, else allocates a fresh
 // buffer and moves it in.  The temporary keeps `b` intact if the
 // allocation throws, so a failed prepare() never leaves a buffer in a
@@ -85,6 +64,51 @@ void ensure_buffer(Buffer& b, const std::vector<std::int64_t>& extents) {
   Buffer fresh(extents);
   b = std::move(fresh);
 }
+
+std::string joined_stage_names(const Pipeline& pl, const GroupPlan& g) {
+  std::string names;
+  for (int s : g.stage_order) {
+    if (!names.empty()) names += ",";
+    names += pl.stage(s).name;
+  }
+  return names;
+}
+
+// Serial-side deadline probe, used before reduction groups (which have no
+// tile boundaries to sample at).
+void check_deadline(const Deadline* deadline) {
+  if (deadline != nullptr && deadline->expired())
+    throw Error("run deadline exceeded", ErrorCode::kDeadlineExceeded);
+}
+
+// Translates a captured worker exception into a coded fusedp::Error on the
+// serial side.  fusedp errors pass through unchanged.
+[[noreturn]] void rethrow_tile_error(const std::exception_ptr& ep) {
+  try {
+    std::rethrow_exception(ep);
+  } catch (const Error&) {
+    throw;
+  } catch (const std::bad_alloc&) {
+    throw Error("tile execution failed: allocation failed",
+                ErrorCode::kAllocationFailed);
+  } catch (const std::exception& e) {
+    throw Error(std::string("tile execution failed: ") + e.what(),
+                ErrorCode::kInternal);
+  }
+}
+
+// Per-thread observability log: appended to without synchronization inside
+// the parallel region (one slot per thread), merged serially at group end.
+struct ThreadLog {
+  std::vector<observe::TileEvent> tiles;
+  std::int64_t tiles_run = 0;
+  std::int64_t interior_tiles = 0;
+  std::int64_t computed_elems = 0;
+  std::int64_t owned_elems = 0;
+  std::int64_t scratch_bytes = 0;
+  std::int64_t steals = 0;    // pool backend: cross-lane steals by this lane
+  double queue_wait = 0.0;    // pool backend: dispatch-queue wait (seconds)
+};
 
 }  // namespace
 
@@ -168,7 +192,7 @@ void Workspace::prepare(const ExecutablePlan& plan,
     const int slot = slot_of(s);
     views_[s] = slot < 0
                     ? buffers_[s].view()
-                    : dense_view_over(
+                    : view_of_region(
                           slots_[static_cast<std::size_t>(slot)].data(),
                           pl.stage(static_cast<int>(s)).domain);
   }
@@ -201,30 +225,6 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
   }
   if (opts_.pooled_storage) storage_ = assign_storage(plan_);
 }
-
-namespace {
-
-std::string joined_stage_names(const Pipeline& pl, const GroupPlan& g) {
-  std::string names;
-  for (int s : g.stage_order) {
-    if (!names.empty()) names += ",";
-    names += pl.stage(s).name;
-  }
-  return names;
-}
-
-}  // namespace
-
-namespace {
-
-// Serial-side deadline probe, used before reduction groups (which have no
-// tile boundaries to sample at).
-void check_deadline(const Deadline* deadline) {
-  if (deadline != nullptr && deadline->expired())
-    throw Error("run deadline exceeded", ErrorCode::kDeadlineExceeded);
-}
-
-}  // namespace
 
 void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
                    observe::Observer* obs, const Deadline* deadline) const {
@@ -329,43 +329,6 @@ void Executor::run_reduction(const GroupPlan& g,
   ctx.num_threads = opts_.num_threads;
   st.reduction(ctx);
 }
-
-namespace {
-
-// Translates a captured worker exception into a coded fusedp::Error on the
-// serial side.  fusedp errors pass through unchanged.
-[[noreturn]] void rethrow_tile_error(const std::exception_ptr& ep) {
-  try {
-    std::rethrow_exception(ep);
-  } catch (const Error&) {
-    throw;
-  } catch (const std::bad_alloc&) {
-    throw Error("tile execution failed: allocation failed",
-                ErrorCode::kAllocationFailed);
-  } catch (const std::exception& e) {
-    throw Error(std::string("tile execution failed: ") + e.what(),
-                ErrorCode::kInternal);
-  }
-}
-
-}  // namespace
-
-namespace {
-
-// Per-thread observability log: appended to without synchronization inside
-// the parallel region (one slot per thread), merged serially at group end.
-struct ThreadLog {
-  std::vector<observe::TileEvent> tiles;
-  std::int64_t tiles_run = 0;
-  std::int64_t interior_tiles = 0;
-  std::int64_t computed_elems = 0;
-  std::int64_t owned_elems = 0;
-  std::int64_t scratch_bytes = 0;
-  std::int64_t steals = 0;    // pool backend: cross-lane steals by this lane
-  double queue_wait = 0.0;    // pool backend: dispatch-queue wait (seconds)
-};
-
-}  // namespace
 
 void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
                          Workspace& ws, observe::GroupRecord* rec,

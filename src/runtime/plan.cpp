@@ -3,11 +3,13 @@
 #include <algorithm>
 
 #include "support/checked.hpp"
+#include "support/fault.hpp"
 
 namespace fusedp {
 
 ExecutablePlan lower(const Pipeline& pl, const Grouping& grouping,
                      const CompileOptions& copts) {
+  FUSEDP_FAULT_POINT("plan.lower");
   std::string why;
   FUSEDP_CHECK_CODE(validate_grouping(pl, grouping, &why),
                     ErrorCode::kInvalidSchedule, "invalid grouping: " + why);

@@ -105,6 +105,27 @@ TEST(MeasuredTest, StreamsOneAttemptPerCandidateToObserver) {
   EXPECT_LE(measured, opts.measured_top_k);
 }
 
+// The post-mortem counts the k-best DP's states and shows what each
+// candidate measured.
+TEST(MeasuredTest, PostMortemCountsStatesAndShowsCandidateTimes) {
+  PipelineSpec spec = make_blur(64, 96);
+  Options opts;
+  opts.scheduler = Scheduler::kMeasured;
+  opts.measured_top_k = 2;
+  opts.measured_repeats = 1;
+  auto s = Session::open(*spec.pipeline, opts);
+  ASSERT_TRUE(s.ok()) << s.error().what();
+  const Diagnostics& diag = s.value().diagnostics();
+  EXPECT_GT(diag.total_states, 0u);
+  const std::string summary = diag.summary();
+  for (const TierAttempt& a : diag.attempts) {
+    ASSERT_TRUE(a.succeeded) << a.detail;
+    EXPECT_NE(summary.find(a.detail + "\n"), std::string::npos) << summary;
+  }
+  EXPECT_NE(summary.find(": ok ("), std::string::npos) << summary;
+  EXPECT_NE(summary.find("candidate 0: "), std::string::npos) << summary;
+}
+
 TEST(MeasuredTest, CallerWarmupFrameIsAcceptedAndCountChecked) {
   PipelineSpec spec = make_blur(64, 96);
   const std::vector<Buffer> warm = spec.make_inputs();

@@ -1,4 +1,5 @@
-// Session::open through the persistent schedule cache (storage/findb):
+// Session::open and its schedule step (Session::schedule) through the
+// persistent schedule cache (storage/findb):
 // warm starts must be bit-identical to cache-off opens and skip the search
 // entirely, and every injected cache failure — corruption, version skew,
 // stale build, hostile schedule text, a wedged lock — must resolve to a
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "api/session.hpp"
@@ -541,6 +543,117 @@ TEST(SessionCacheTest, EarlierCostModelRecordIsNotServed) {
   ASSERT_TRUE(s.ok()) << s.error().what();
   EXPECT_FALSE(s.value().warm_start());
   EXPECT_EQ(first_probe(s.value())->outcome, "miss");
+}
+
+// --- The schedule step ------------------------------------------------------
+
+// Arms `point` for one scope and disarms on exit, so a failed assertion
+// cannot leave it armed for later tests.
+struct ArmedFault {
+  explicit ArmedFault(const char* point) { FaultInjector::arm(point); }
+  ~ArmedFault() { FaultInjector::disarm(); }
+};
+
+void expect_same_events(const Schedule& step, const Session& open) {
+  ASSERT_EQ(step.cache_events.size(), open.cache_events().size());
+  for (std::size_t i = 0; i < step.cache_events.size(); ++i) {
+    EXPECT_EQ(step.cache_events[i].action, open.cache_events()[i].action);
+    EXPECT_EQ(step.cache_events[i].outcome, open.cache_events()[i].outcome);
+  }
+}
+
+// The schedule step is Session::open without the compile step: for every
+// scheduler, on a cold and then a warm cache, it returns the grouping,
+// tier, attempt count and cache events that open records, and it never
+// lowers a plan (the armed plan.lower point would fail it).  kMeasured
+// times its candidates on executors as its search, so it runs unarmed.
+TEST(ScheduleStepTest, MatchesOpenForEveryScheduler) {
+  for (const char* bench : {"blur", "harris"}) {
+    PipelineSpec spec = make_benchmark(bench, 32);
+    const Pipeline& pl = *spec.pipeline;
+    for (const SchedulerSpelling& e : kSchedulers) {
+      SCOPED_TRACE(std::string(bench) + " --scheduler=" + e.spelling);
+      TempDir step_dir, open_dir;
+      findb::FindDb::clear_memory_tier();
+      Options opts = cache_options(step_dir.path);
+      opts.scheduler = e.scheduler;
+      opts.max_states = 150000;
+      opts.measured_top_k = 1;  // one candidate: no timing-dependent choice
+      for (const bool warm : {false, true}) {
+        opts.cache_dir = step_dir.path;
+        Result<Schedule> step = [&] {
+          std::optional<ArmedFault> armed;
+          if (e.scheduler != Scheduler::kMeasured) armed.emplace("plan.lower");
+          return Session::schedule(pl, opts);
+        }();
+        opts.cache_dir = open_dir.path;
+        Result<Session> open = Session::open(pl, opts);
+        ASSERT_TRUE(step.ok()) << step.error().what();
+        ASSERT_TRUE(open.ok()) << open.error().what();
+        const Schedule& s = step.value();
+        const Session& o = open.value();
+        EXPECT_EQ(s.grouping.to_string(pl), o.grouping().to_string(pl));
+        EXPECT_EQ(s.diagnostics.tier, o.diagnostics().tier);
+        EXPECT_EQ(s.diagnostics.attempts.size(),
+                  o.diagnostics().attempts.size());
+        EXPECT_EQ(s.warm_start, warm);
+        EXPECT_EQ(o.warm_start(), warm);
+        expect_same_events(s, o);
+      }
+    }
+  }
+}
+
+// A caller's grouping takes the same schedule step as in open: costs
+// filled from the model, a "bypass" probe, and no plan.
+TEST(ScheduleStepTest, CallerGroupingMatchesOpen) {
+  TempDir dir;
+  PipelineSpec spec = make_benchmark("harris", 32);
+  const Pipeline& pl = *spec.pipeline;
+  const Options opts = cache_options(dir.path);
+  Grouping costless = singleton_grouping(pl, CostModel(pl, opts.machine));
+  for (GroupSchedule& gs : costless.groups) gs.cost = 0.0;
+  costless.total_cost = 0.0;
+
+  Result<Schedule> step = [&] {
+    ArmedFault armed("plan.lower");
+    return Session::schedule(pl, costless, opts);
+  }();
+  Result<Session> open = Session::open(pl, costless, opts);
+  ASSERT_TRUE(step.ok()) << step.error().what();
+  ASSERT_TRUE(open.ok()) << open.error().what();
+  EXPECT_EQ(step.value().grouping.total_cost, open.value().grouping().total_cost);
+  EXPECT_GT(step.value().grouping.total_cost, 0.0);
+  EXPECT_FALSE(step.value().warm_start);
+  expect_same_events(step.value(), open.value());
+  EXPECT_TRUE(has_event(open.value(), "probe", "bypass"));
+}
+
+// The step builds no plan, so a cached grouping that cannot compile is
+// still served warm by it; open compiles, records invalid-schedule and
+// searches fresh.
+TEST(ScheduleStepTest, WarmStepNeverReachesTheCompileStep) {
+  TempDir dir;
+  findb::FindDb::clear_memory_tier();
+  PipelineSpec spec = make_benchmark("unsharp", 16);
+  const Options opts = cache_options(dir.path);
+  ASSERT_TRUE(Session::schedule(*spec.pipeline, opts).ok());  // cold: stores
+
+  FaultInjector::arm("session.warm_plan", ErrorCode::kInternal);
+  Result<Schedule> step = Session::schedule(*spec.pipeline, opts);
+  const bool compile_site_untouched = FaultInjector::armed();
+  Result<Session> open = Session::open(*spec.pipeline, opts);
+  FaultInjector::disarm();
+
+  ASSERT_TRUE(step.ok()) << step.error().what();
+  EXPECT_TRUE(step.value().warm_start);
+  EXPECT_TRUE(compile_site_untouched);
+  for (const observe::CacheEvent& ev : step.value().cache_events)
+    EXPECT_NE(ev.outcome, "invalid-schedule");
+  ASSERT_TRUE(open.ok()) << open.error().what();
+  EXPECT_FALSE(open.value().warm_start());
+  EXPECT_TRUE(has_event(open.value(), "probe", "invalid-schedule"));
+  EXPECT_TRUE(has_event(open.value(), "store", "stored"));
 }
 
 }  // namespace

@@ -19,9 +19,10 @@
 //
 // S is a spelling of the session's scheduler table (scheduler_spellings(),
 // api/session.hpp) or `manual`, the benchmark's hand-written grouping.
-// `schedule`, `dot`, `run` and `verify` all get their grouping from
-// Session::open: --load=FILE and `manual` open as given, every other
-// spelling is searched by the session.
+// `schedule`, `dot`, `verify` and `cache warm` stop at the session's
+// schedule step (Session::schedule) and build no executor; `run`,
+// `cache warm --measure` and `tune` open a full Session.  --load=FILE and
+// `manual` open as given, every other spelling is searched by the session.
 //
 // `run` executes the session; --trace exports the measured run as Chrome
 // trace_event JSON and --report prints the cost model's predicted
@@ -35,6 +36,8 @@
 // rejects ALL unrecognized ones in a single usage error (exit 2).
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 
 #include "fusedp.hpp"
 #include "fusion/serialize.hpp"
@@ -72,7 +75,7 @@ void check_flags(const Cli& cli, const char* const* known,
 
 // Per-subcommand known-flag tables (the shared parser in support/cli.hpp
 // does the matching).  Every command that schedules reads the same flags
-// through open_session, so they share one list.
+// through open_as, so they share one list.
 #define FUSEDP_SCHEDULING_FLAGS                                          \
   "scale", "machine", "scheduler", "load", "max-states", "deadline-ms", \
       "t1", "t2", "tolerance", "top-k", "repeats", "machine-file"
@@ -145,8 +148,8 @@ void apply_cache_flags(const Cli& cli, Options* opts) {
                     "--cache requires --cache-dir=DIR");
 }
 
-void print_cache_events(const Session& session) {
-  for (const observe::CacheEvent& ev : session.cache_events())
+void print_cache_events(const std::vector<observe::CacheEvent>& events) {
+  for (const observe::CacheEvent& ev : events)
     std::printf("cache %s: %s%s%s (%.3f ms)\n", ev.action.c_str(),
                 ev.outcome.c_str(), ev.from_memory ? " [memory]" : "",
                 ev.detail.empty() ? "" : (" — " + ev.detail).c_str(),
@@ -157,13 +160,19 @@ void print_cache_events(const Session& session) {
 // table: it names no search but the benchmark's hand-written grouping.
 constexpr const char kManual[] = "manual";
 
-// Opens `spec`'s session with the scheduling flags applied on top of
-// `opts`; `fallback` stands in for an absent --scheduler.  Caller-given
-// groupings (--load=FILE, --scheduler=manual) open as given; every other
-// spelling is searched by Session::open.  A search that leaves a
-// post-mortem (auto's ladder, measured's candidates) prints it to stderr.
-Session open_session(const Cli& cli, const PipelineSpec& spec,
-                     Scheduler fallback, Options opts = {}) {
+const Diagnostics& diagnostics_of(const Schedule& s) { return s.diagnostics; }
+const Diagnostics& diagnostics_of(const Session& s) { return s.diagnostics(); }
+
+// Schedules `spec` with the scheduling flags applied on top of `opts`;
+// `fallback` stands in for an absent --scheduler.  `Step` is Schedule for
+// the commands that stop at the schedule step and Session for those that
+// execute (Session::open compiles).  Caller-given groupings (--load=FILE,
+// --scheduler=manual) open as given; every other spelling is searched.  A
+// search that leaves a post-mortem (auto's ladder, measured's candidates)
+// prints it to stderr.
+template <typename Step>
+Step open_as(const Cli& cli, const PipelineSpec& spec, Scheduler fallback,
+             Options opts = {}) {
   const Pipeline& pl = *spec.pipeline;
   opts.machine = machine_of(cli);
   opts.machine_file = cli.get("machine-file", "");
@@ -179,25 +188,30 @@ Session open_session(const Cli& cli, const PipelineSpec& spec,
       static_cast<int>(cli.get_int("repeats", opts.measured_repeats));
   apply_cache_flags(cli, &opts);
 
+  const auto step = [&](const auto&... grouping) {
+    if constexpr (std::is_same_v<Step, Session>)
+      return Session::open(pl, grouping..., opts);
+    else
+      return Session::schedule(pl, grouping..., opts);
+  };
   const std::string load = cli.get("load", "");
   const std::string which = cli.get("scheduler", scheduler_name(fallback));
-  Result<Session> opened = [&] {
-    if (!load.empty()) return Session::open(pl, load_grouping(pl, load), opts);
+  Result<Step> opened = [&] {
+    if (!load.empty()) return step(load_grouping(pl, load));
     if (which == kManual)
-      return Session::open(
-          pl, spec.manual_grouping(CostModel(pl, opts.machine)), opts);
+      return step(spec.manual_grouping(CostModel(pl, opts.machine)));
     Result<Scheduler> parsed = parse_scheduler(which);
     FUSEDP_CHECK_CODE(parsed.ok(), ErrorCode::kInvalidArgument,
                       "unknown scheduler: " + which + " (want " +
                           scheduler_spellings() + "|" + kManual + ")");
     opts.scheduler = parsed.value();
-    return Session::open(pl, opts);
+    return step();
   }();
   if (!opened.ok()) throw opened.error();
-  Session session = std::move(opened).value();
-  if (!session.diagnostics().attempts.empty())
-    std::fprintf(stderr, "%s", session.diagnostics().summary().c_str());
-  return session;
+  Step out = std::move(opened).value();
+  if (const Diagnostics& d = diagnostics_of(out); !d.attempts.empty())
+    std::fprintf(stderr, "%s", d.summary().c_str());
+  return out;
 }
 
 // Runs `g` through the differential oracle: every backend configuration,
@@ -222,10 +236,13 @@ void verify_grouping(const Cli& cli, const Pipeline& pl, const Grouping& g,
 int cmd_schedule(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
   const Pipeline& pl = *spec.pipeline;
-  const Session session = open_session(cli, spec, Scheduler::kIncremental);
-  const Grouping& g = session.grouping();
+  const Schedule sch = open_as<Schedule>(cli, spec, Scheduler::kIncremental);
+  const Grouping& g = sch.grouping;
   std::printf("%s", g.to_string(pl).c_str());
-  const CostModel model(pl, session.options().machine);
+  // The plan's predictions use the model the schedule step scored with.
+  const std::string mf = cli.get("machine-file", "");
+  const CostModel model(pl, mf.empty() ? machine_of(cli)
+                                       : load_machine(mf).value());
   const std::string plan = plan_to_string(lower(pl, g), nullptr, &model);
   std::printf("\n%s", plan.c_str());
   const std::string save = cli.get("save", "");
@@ -239,9 +256,8 @@ int cmd_schedule(const Cli& cli, const std::string& bench) {
 int cmd_dot(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
   if (cli.has("scheduler") || cli.has("load")) {
-    const Session session = open_session(cli, spec, Scheduler::kIncremental);
-    std::printf("%s",
-                grouping_to_dot(*spec.pipeline, session.grouping()).c_str());
+    const Schedule sch = open_as<Schedule>(cli, spec, Scheduler::kIncremental);
+    std::printf("%s", grouping_to_dot(*spec.pipeline, sch.grouping).c_str());
   } else {
     std::printf("%s", pipeline_to_dot(*spec.pipeline).c_str());
   }
@@ -273,10 +289,10 @@ int cmd_run(const Cli& cli, const std::string& bench) {
 
   // A cached run defaults to the ladder that never fails on budget: its
   // result is what every later warm open replays.
-  Session session = open_session(
+  Session session = open_as<Session>(
       cli, spec,
       cli.has("cache") ? Scheduler::kAuto : Scheduler::kIncremental, opts);
-  print_cache_events(session);
+  print_cache_events(session.cache_events());
   const Grouping& g = session.grouping();
   std::printf("%s%s\n", session.warm_start() ? "warm start\n" : "",
               g.to_string(pl).c_str());
@@ -320,9 +336,9 @@ int cmd_run(const Cli& cli, const std::string& bench) {
 // scripted gates).
 int cmd_verify(const Cli& cli, const std::string& bench) {
   const PipelineSpec spec = make_benchmark(bench, cli.get_int("scale", 8));
-  const Session session = open_session(cli, spec, Scheduler::kIncremental);
-  std::printf("%s\n", session.grouping().to_string(*spec.pipeline).c_str());
-  verify_grouping(cli, *spec.pipeline, session.grouping(), spec.make_inputs());
+  const Schedule sch = open_as<Schedule>(cli, spec, Scheduler::kIncremental);
+  std::printf("%s\n", sch.grouping.to_string(*spec.pipeline).c_str());
+  verify_grouping(cli, *spec.pipeline, sch.grouping, spec.make_inputs());
   return 0;
 }
 
@@ -534,15 +550,21 @@ int cmd_cache(const Cli& cli, const std::string& sub) {
       opts.num_threads = static_cast<int>(cli.get_int("threads", 4));
       opts.cache_mode = findb::CacheMode::kReadWrite;
       opts.cache_dir = dir;
+      // Only --measure runs the pipeline, so only it compiles a session.
       WallTimer t;
-      Session session = open_session(cli, spec, Scheduler::kAuto, opts);
+      std::optional<Session> session;
+      Schedule sch;
+      if (cli.has("measure"))
+        session.emplace(open_as<Session>(cli, spec, Scheduler::kAuto, opts));
+      else
+        sch = open_as<Schedule>(cli, spec, Scheduler::kAuto, opts);
+      const bool warm = session ? session->warm_start() : sch.warm_start;
       std::printf("%-12s open %.1f ms, %s\n", key.c_str(), t.seconds() * 1e3,
-                  session.warm_start() ? "warm (cache hit)"
-                                       : "cold (searched + stored)");
-      print_cache_events(session);
-      if (cli.has("measure")) {
+                  warm ? "warm (cache hit)" : "cold (searched + stored)");
+      print_cache_events(session ? session->cache_events() : sch.cache_events);
+      if (session) {
         const std::vector<Buffer> inputs = spec.make_inputs();
-        Result<double> r = session.execute(inputs);
+        Result<double> r = session->execute(inputs);
         if (!r.ok()) throw r.error();
         std::printf("%-12s run  %.2f ms\n", key.c_str(), r.value() * 1e3);
       }
