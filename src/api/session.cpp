@@ -569,8 +569,10 @@ std::vector<double> Session::search(const Deadline& deadline) {
       dopts.max_states = opts_.max_states;
       if (odl != nullptr)
         dopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
-      g = DpFusion(pl, model, dopts).run();
+      DpFusion dp(pl, model, dopts);
+      g = dp.run();
       diag.tier = ScheduleTier::kFullDp;
+      diag.total_states = dp.stats().groupings_enumerated;
       break;
     }
     case Scheduler::kIncremental: {
@@ -578,8 +580,10 @@ std::vector<double> Session::search(const Deadline& deadline) {
       iopts.max_states = opts_.max_states;
       if (odl != nullptr)
         iopts.deadline_seconds = std::max(1e-9, deadline.remaining_seconds());
-      g = IncFusion(pl, model, iopts).run();
+      IncFusion inc(pl, model, iopts);
+      g = inc.run();
       diag.tier = ScheduleTier::kBoundedDp;  // group-limited DP passes
+      diag.total_states = inc.stats().groupings_enumerated;
       break;
     }
     case Scheduler::kGreedy:

@@ -1,12 +1,16 @@
 #include "runtime/benefit.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/pipeline.hpp"
 #include "support/buffer.hpp"
+#include "support/fingerprint.hpp"
 
 namespace fusedp {
 
@@ -158,9 +162,73 @@ double measure_stage_ms(const CompiledStage& cs, StageHarness& h,
   return best / calls;
 }
 
+// One stage's micro-measure: the per-call row time of its vector and plain
+// compiled forms over the same synthetic rows.
+struct StageTimes {
+  double vector_ms = 0.0;
+  double plain_ms = 0.0;
+};
+
+// Process-wide StageTimes memo (see apply_never_pessimize).  Its key must
+// cover everything the harness reads.  Both compiled forms are
+// bit-identical, so a colliding entry can change speed only, never
+// outputs.  Cleared when full.
+constexpr std::size_t kMemoCapacity = 4096;
+
+struct TimesMemo {
+  std::mutex mu;
+  std::unordered_map<std::uint64_t, StageTimes> times;
+};
+
+TimesMemo& times_memo() {
+  static TimesMemo memo;
+  return memo;
+}
+
+std::atomic<std::int64_t> g_measurements{0};
+
+std::uint64_t memo_key(const Stage& st, const CompileOptions& vector_opts,
+                       bool allow_fma, bool fast_transcendentals) {
+  Fnv64 h;
+  add_stage_structure(h, st);
+  h.add_tag(vector_opts.fuse_superops ? 'F' : '.');
+  h.add_tag(vector_opts.vector ? 'V' : '.');
+  h.add_tag(allow_fma ? 'M' : '.');
+  h.add_tag(fast_transcendentals ? 'T' : '.');
+  h.add_i32(static_cast<std::int32_t>(active_row_kernels()));
+  return h.digest();
+}
+
+bool memo_find(std::uint64_t key, StageTimes& out) {
+  TimesMemo& m = times_memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  const auto it = m.times.find(key);
+  if (it == m.times.end()) return false;
+  out = it->second;
+  return true;
+}
+
+// Stores `t` unless a racing build stored the key first, and returns the
+// stored times, so every plan in the process reads one verdict per stage.
+StageTimes memo_store(std::uint64_t key, const StageTimes& t) {
+  TimesMemo& m = times_memo();
+  const std::lock_guard<std::mutex> lock(m.mu);
+  if (m.times.size() >= kMemoCapacity) m.times.clear();
+  return m.times.emplace(key, t).first->second;
+}
+
 }  // namespace
 
-void apply_never_pessimize(ExecutablePlan& plan, bool allow_fma,
+namespace detail {
+
+std::int64_t never_pessimize_measurements() {
+  return g_measurements.load(std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
+void apply_never_pessimize(ExecutablePlan& plan,
+                           const CompileOptions& vector_opts, bool allow_fma,
                            bool fast_transcendentals) {
   const Pipeline& pl = *plan.pipeline;
   const CompileOptions plain{/*fuse_superops=*/false, /*vector=*/false};
@@ -176,16 +244,29 @@ void apply_never_pessimize(ExecutablePlan& plan, bool allow_fma,
     if (!b.suspect) continue;
     double vec_ms = 0.0, sca_ms = 0.0;
     bool measured = false;
-    for (int s : g.stage_order) {
+    // Plain forms compiled for a measurement, by stage_order position,
+    // reused if the group is demoted.
+    std::vector<CompiledStage> plain_forms(g.stage_order.size());
+    for (std::size_t i = 0; i < g.stage_order.size(); ++i) {
+      const int s = g.stage_order[i];
       const CompiledStage& cs = plan.compiled[static_cast<std::size_t>(s)];
       if (!cs.valid()) continue;
       const Stage& st = pl.stage(s);
-      StageHarness h;
-      if (!build_harness(st, cs, h)) continue;
-      const CompiledStage plain_cs = compile_stage(st, plain);
-      vec_ms += measure_stage_ms(cs, h, allow_fma, fast_transcendentals);
-      sca_ms += measure_stage_ms(plain_cs, h, allow_fma,
-                                 fast_transcendentals);
+      const std::uint64_t key =
+          memo_key(st, vector_opts, allow_fma, fast_transcendentals);
+      StageTimes t;
+      if (!memo_find(key, t)) {
+        StageHarness h;
+        if (!build_harness(st, cs, h)) continue;
+        plain_forms[i] = compile_stage(st, plain);
+        t.vector_ms = measure_stage_ms(cs, h, allow_fma, fast_transcendentals);
+        t.plain_ms = measure_stage_ms(plain_forms[i], h, allow_fma,
+                                      fast_transcendentals);
+        g_measurements.fetch_add(1, std::memory_order_relaxed);
+        t = memo_store(key, t);
+      }
+      vec_ms += t.vector_ms;
+      sca_ms += t.plain_ms;
       measured = true;
     }
     if (!measured) continue;
@@ -193,9 +274,13 @@ void apply_never_pessimize(ExecutablePlan& plan, bool allow_fma,
     g.verdict.vector_ms = vec_ms;
     g.verdict.scalar_ms = sca_ms;
     if (vec_ms > sca_ms * kDemoteMargin) {
-      for (int s : g.stage_order) {
-        CompiledStage& cs = plan.compiled[static_cast<std::size_t>(s)];
-        if (cs.valid()) cs = compile_stage(pl.stage(s), plain);
+      for (std::size_t i = 0; i < g.stage_order.size(); ++i) {
+        CompiledStage& cs =
+            plan.compiled[static_cast<std::size_t>(g.stage_order[i])];
+        if (!cs.valid()) continue;
+        cs = plain_forms[i].valid()
+                 ? std::move(plain_forms[i])
+                 : compile_stage(pl.stage(g.stage_order[i]), plain);
       }
       g.verdict.demoted = true;
     }

@@ -48,10 +48,26 @@ GroupBenefit analyze_group_benefit(const ExecutablePlan& plan,
 // suspect groups are micro-measured and, when the vector compilation loses
 // to the plain form by more than ~5%, their member stages are recompiled
 // with the plain CompileOptions.  Fills GroupPlan::verdict either way.
+// `vector_opts` are the CompileOptions `plan` was lowered with;
 // `allow_fma`/`fast_transcendentals` are the executor's row-kernel flags,
 // passed through so the measurement runs the same kernels the executor
 // will.
-void apply_never_pessimize(ExecutablePlan& plan, bool allow_fma,
+//
+// Each stage is timed at most once per process: its vector and plain
+// times are memoized (bounded, process-wide) under its structure, these
+// options and the active row-kernel table, and every later plan containing
+// the stage sums the stored times.  A group's verdict is therefore stable
+// within a process.
+void apply_never_pessimize(ExecutablePlan& plan,
+                           const CompileOptions& vector_opts, bool allow_fma,
                            bool fast_transcendentals);
+
+namespace detail {
+
+// Test-only: stage micro-measurements (memo misses) run in this process so
+// far.
+std::int64_t never_pessimize_measurements();
+
+}  // namespace detail
 
 }  // namespace fusedp

@@ -208,12 +208,11 @@ std::int64_t Workspace::allocated_floats() const {
 
 Executor::Executor(const Pipeline& pl, const Grouping& grouping,
                    ExecOptions opts)
-    : pl_(&pl),
-      plan_(lower(pl, grouping,
-                  CompileOptions{/*fuse_superops=*/opts.vector_backend &&
-                                     opts.superop_fusion,
-                                 /*vector=*/opts.vector_backend})),
-      opts_(opts) {
+    : pl_(&pl), opts_(opts) {
+  const CompileOptions copts{
+      /*fuse_superops=*/opts_.vector_backend && opts_.superop_fusion,
+      /*vector=*/opts_.vector_backend};
+  plan_ = lower(pl, grouping, copts);
   FUSEDP_CHECK_CODE(opts_.num_threads >= 1, ErrorCode::kInvalidArgument,
                     "need at least one thread");
   // Cost-aware never-pessimize gate: vector-backend groups whose static
@@ -221,7 +220,8 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
   // back to the plain compiled form when they lose (runtime/benefit.hpp).
   if (opts_.never_pessimize && opts_.vector_backend &&
       opts_.mode == EvalMode::kRow) {
-    apply_never_pessimize(plan_, opts_.allow_fma, opts_.fast_transcendentals);
+    apply_never_pessimize(plan_, copts, opts_.allow_fma,
+                          opts_.fast_transcendentals);
   }
   if (opts_.pooled_storage) storage_ = assign_storage(plan_);
 }

@@ -154,6 +154,31 @@ void add_access(Fnv64& h, const Access& a) {
 
 }  // namespace
 
+void add_stage_structure(Fnv64& h, const Stage& s) {
+  h.add_tag('S');
+  h.add_str(s.name);
+  h.add_i32(s.id);
+  h.add_i32(static_cast<std::int32_t>(s.kind));
+  h.add_tag(s.is_output ? 'o' : '.');
+  add_box(h, s.domain);
+  h.add_i32(s.body);
+  // The whole expression arena, node by node: referenced and dead nodes
+  // alike (indices are stable, so hashing everything is deterministic and
+  // avoids a reachability walk here).
+  h.add_u64(s.nodes.size());
+  for (const ExprNode& n : s.nodes) {
+    h.add_i32(static_cast<std::int32_t>(n.op));
+    h.add_f32(n.imm);
+    h.add_i32(n.a);
+    h.add_i32(n.b);
+    h.add_i32(n.c);
+    h.add_i32(n.dim);
+    h.add_i32(n.load_id);
+  }
+  h.add_u64(s.loads.size());
+  for (const Access& a : s.loads) add_access(h, a);
+}
+
 std::uint64_t fingerprint(const Pipeline& pl) {
   Fnv64 h;
   h.add_str("fusedp-pipeline-v1");
@@ -165,30 +190,7 @@ std::uint64_t fingerprint(const Pipeline& pl) {
     add_box(h, in.domain);
   }
   h.add_u64(static_cast<std::uint64_t>(pl.num_stages()));
-  for (const Stage& s : pl.stages()) {
-    h.add_tag('S');
-    h.add_str(s.name);
-    h.add_i32(s.id);
-    h.add_i32(static_cast<std::int32_t>(s.kind));
-    h.add_tag(s.is_output ? 'o' : '.');
-    add_box(h, s.domain);
-    h.add_i32(s.body);
-    // The whole expression arena, node by node: referenced and dead nodes
-    // alike (indices are stable, so hashing everything is deterministic and
-    // avoids a reachability walk here).
-    h.add_u64(s.nodes.size());
-    for (const ExprNode& n : s.nodes) {
-      h.add_i32(static_cast<std::int32_t>(n.op));
-      h.add_f32(n.imm);
-      h.add_i32(n.a);
-      h.add_i32(n.b);
-      h.add_i32(n.c);
-      h.add_i32(n.dim);
-      h.add_i32(n.load_id);
-    }
-    h.add_u64(s.loads.size());
-    for (const Access& a : s.loads) add_access(h, a);
-  }
+  for (const Stage& s : pl.stages()) add_stage_structure(h, s);
   h.add_u64(pl.outputs().size());
   for (int o : pl.outputs()) h.add_i32(o);
   return h.digest();

@@ -5,8 +5,11 @@
 // header-only support primitive that cannot depend on the runtime layer.
 // These hooks invert the dependency: the governor installs charge/uncharge
 // function pointers here when it is first constructed, and the arenas call
-// through them on every *growth* event (growth-only arenas grow a handful
-// of times per process, so the accounting is far off any hot path).
+// through them on every *growth* event.  Arenas are growth-only but not
+// long-lived: Executor::run_group builds each lane's ScratchArenas afresh
+// for every group of every run (runtime/executor.cpp), so they grow a few
+// times per lane per group per run — off the per-tile and per-row paths,
+// but not rare.
 //
 // Uninstalled cost is one relaxed atomic load per growth.  charge may throw
 // a coded Error (kResourceExhausted) — admission control happens *before*

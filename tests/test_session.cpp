@@ -189,6 +189,34 @@ TEST(SchedulerTableTest, DpAndIncrementalRunTheirPaperAlgorithms) {
   }
 }
 
+TEST(SchedulerTableTest, DpAndIncrementalRecordTheirStateCount) {
+  // The direct DP schedulers report the states their search enumerated,
+  // as kAuto and kMeasured do.
+  const PipelineSpec spec = make_benchmark("harris", 16);
+  const Pipeline& pl = *spec.pipeline;
+  Options o;
+  const CostModel model(pl, o.machine);
+  DpOptions dopts;
+  dopts.max_states = o.max_states;
+  DpFusion dp(pl, model, dopts);
+  dp.run();
+  IncOptions iopts;
+  iopts.max_states = o.max_states;
+  IncFusion inc(pl, model, iopts);
+  inc.run();
+  for (Scheduler which : {Scheduler::kDp, Scheduler::kIncremental}) {
+    o.scheduler = which;
+    Result<Schedule> s = Session::schedule(pl, o);
+    ASSERT_TRUE(s.ok()) << scheduler_name(which) << ": " << s.error().what();
+    const std::uint64_t want = which == Scheduler::kDp
+                                   ? dp.stats().groupings_enumerated
+                                   : inc.stats().groupings_enumerated;
+    EXPECT_GT(want, 0u) << scheduler_name(which);
+    EXPECT_EQ(s.value().diagnostics.total_states, want)
+        << scheduler_name(which);
+  }
+}
+
 TEST(SchedulerTableTest, DpAndIncrementalHonourTheDeadline) {
   // harris enumerates ~700 DP states, past the DP's 256-state deadline
   // stride, so a microsecond deadline must stop the search.
