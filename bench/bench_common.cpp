@@ -98,7 +98,6 @@ std::string exec_options_json(const ExecOptions& opts, const char* indent) {
   field("allow_fma", opts.allow_fma ? "true" : "false");
   field("fast_transcendentals",
         opts.fast_transcendentals ? "true" : "false");
-  field("never_pessimize", opts.never_pessimize ? "true" : "false");
   field("pooled_storage", opts.pooled_storage ? "true" : "false");
   field("pool_backend", opts.pool_backend ? "true" : "false");
   return s;

@@ -16,9 +16,9 @@
 //
 // Groups that measure slower under the vector backend additionally land in
 // a machine-readable `regressions` array with a suspected cause
-// (libm-fallback / gather-bound / fusion-pessimized) from the
-// never-pessimize benefit model, so CI and tools/bench_compare.py can gate
-// on them without re-deriving the attribution.
+// (libm-fallback / gather-bound / fusion-pessimized) from the static
+// benefit profile (runtime/benefit.hpp), so CI and tools/bench_compare.py
+// can gate on them without re-deriving the attribution.
 //
 //   --scale/--samples/--runs/--threads   as bench_smoke
 //   --fma=1          additionally contract fused mul-adds into real FMA
@@ -39,7 +39,6 @@
 #include "model/cost.hpp"
 #include "observe/observe.hpp"
 #include "pipelines/pipelines.hpp"
-#include "runtime/benefit.hpp"
 #include "runtime/executor.hpp"
 #include "support/cli.hpp"
 #include "support/stats.hpp"
@@ -64,8 +63,6 @@ struct Regression {
   double speedup = 0.0;
   double delta_ms = 0.0;  // vector_ms - scalar_ms (positive = loss)
   BenefitCause cause = BenefitCause::kNone;
-  bool gate_measured = false;  // never-pessimize micro-measured this group
-  bool gate_demoted = false;   // ...and demoted it to the plain form
 };
 
 struct Row {
@@ -119,12 +116,10 @@ std::string joined_names(const Pipeline& pl, const GroupPlan& g) {
   return names;
 }
 
-// Attributes a regressed group: the never-pessimize verdict's cause when
-// the gate flagged it, else a fresh static profile, else (measured slower
-// with no static excuse) fusion-pessimized.
+// Attributes a regressed group: the vector plan's static benefit cause, or
+// (measured slower with no static excuse) fusion-pessimized.
 Regression attribute(const Pipeline& pl, const ExecutablePlan& plan,
-                     const char* pipeline, const GroupDelta& d,
-                     bool fastmath) {
+                     const char* pipeline, const GroupDelta& d) {
   Regression reg;
   reg.pipeline = pipeline;
   reg.stages = d.stages;
@@ -133,12 +128,7 @@ Regression attribute(const Pipeline& pl, const ExecutablePlan& plan,
   reg.cause = BenefitCause::kFusionPessimized;
   for (const GroupPlan& g : plan.groups) {
     if (joined_names(pl, g) != d.stages) continue;
-    reg.gate_measured = g.verdict.measured;
-    reg.gate_demoted = g.verdict.demoted;
-    BenefitCause c = g.verdict.cause;
-    if (c == BenefitCause::kNone)
-      c = analyze_group_benefit(plan, g, fastmath).cause;
-    if (c != BenefitCause::kNone) reg.cause = c;
+    if (g.benefit_cause != BenefitCause::kNone) reg.cause = g.benefit_cause;
     break;
   }
   return reg;
@@ -225,19 +215,18 @@ int main(int argc, char** argv) {
                  "  %-12s scalar-compiled %8.3f ns/px   vector %8.3f ns/px "
                  "  %.2fx\n",
                  key, r.scalar_ns, r.vector_ns, r.speedup());
-    // Regression attribution reads the vector executor's plan: the
-    // never-pessimize verdicts plus the static benefit profile name a
-    // suspected cause for every group that measured slower.
+    // Regression attribution reads the vector executor's plan: its static
+    // benefit causes name a suspected cause for every group that measured
+    // slower.
     const Executor vex(pl, g, vo);
     for (const GroupDelta& d : r.groups) {
       if (d.speedup() >= 1.0) continue;
-      Regression reg = attribute(pl, vex.plan(), key, d, fastmath);
+      Regression reg = attribute(pl, vex.plan(), key, d);
       std::fprintf(stderr,
                    "    regressed group [%s]: scalar %8.3f ms  vector "
-                   "%8.3f ms  %.2fx  (%s%s)\n",
+                   "%8.3f ms  %.2fx  (%s)\n",
                    d.stages.c_str(), d.scalar_ms, d.vector_ms, d.speedup(),
-                   benefit_cause_name(reg.cause),
-                   reg.gate_demoted ? ", gate-demoted" : "");
+                   benefit_cause_name(reg.cause));
       regressions.push_back(std::move(reg));
     }
   }
@@ -297,9 +286,7 @@ int main(int argc, char** argv) {
     out << "    {\"pipeline\": \"" << reg.pipeline << "\", \"stages\": \""
         << reg.stages << "\", \"speedup\": " << reg.speedup
         << ", \"delta_ms\": " << reg.delta_ms << ", \"cause\": \""
-        << benefit_cause_name(reg.cause) << "\", \"gate_measured\": "
-        << (reg.gate_measured ? "true" : "false") << ", \"gate_demoted\": "
-        << (reg.gate_demoted ? "true" : "false") << "}"
+        << benefit_cause_name(reg.cause) << "\"}"
         << (i + 1 < regressions.size() ? "," : "") << "\n";
   }
   out << "  ],\n"

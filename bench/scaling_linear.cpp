@@ -20,7 +20,9 @@ std::unique_ptr<Pipeline> linear_pipeline(int n, std::int64_t hw) {
   const int img = pl->add_input("img", {hw, hw});
   const Stage* prev = nullptr;
   for (int i = 0; i < n; ++i) {
-    StageBuilder b(*pl, pl->add_stage("s" + std::to_string(i), {hw, hw}));
+    std::string name = "s";
+    name += std::to_string(i);
+    StageBuilder b(*pl, pl->add_stage(name, {hw, hw}));
     b.define((prev == nullptr
                   ? b.in(img, {0, -1}) + b.in(img, {0, 1})
                   : b.at(*prev, {0, -1}) + b.at(*prev, {0, 1})) *

@@ -198,30 +198,36 @@ Report make_report(const RunTrace& trace) {
     row.is_reduction = g.is_reduction;
     rep.rows.push_back(std::move(row));
   }
-
-  // Pearson correlation over groups the model actually scored.
-  double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
-  int n = 0;
-  for (const ReportRow& r : rep.rows) {
-    if (r.is_reduction || !std::isfinite(r.predicted_cost)) continue;
-    const double x = r.predicted_cost, y = r.measured_ms;
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    syy += y * y;
-    sxy += x * y;
-    ++n;
-  }
-  if (n >= 2) {
-    const double num = n * sxy - sx * sy;
-    const double den =
-        std::sqrt(n * sxx - sx * sx) * std::sqrt(n * syy - sy * sy);
-    rep.correlation = den > 0 ? num / den
-                              : std::numeric_limits<double>::quiet_NaN();
-  } else {
-    rep.correlation = std::numeric_limits<double>::quiet_NaN();
-  }
   return rep;
+}
+
+RankAgreement rank_agreement(const Report& report) {
+  std::vector<const ReportRow*> scored;
+  for (const ReportRow& r : report.rows)
+    if (!r.is_reduction && std::isfinite(r.predicted_cost))
+      scored.push_back(&r);
+  // tau-b: pairs tied on one side widen only that side's denominator term;
+  // pairs tied on both count nowhere.
+  std::int64_t concordant = 0, discordant = 0, tied_x = 0, tied_y = 0;
+  for (std::size_t i = 0; i < scored.size(); ++i) {
+    for (std::size_t j = i + 1; j < scored.size(); ++j) {
+      const double dx = scored[j]->predicted_cost - scored[i]->predicted_cost;
+      const double dy = scored[j]->measured_ms - scored[i]->measured_ms;
+      if (dx == 0 && dy == 0) continue;
+      if (dx == 0) ++tied_x;
+      else if (dy == 0) ++tied_y;
+      else if ((dx > 0) == (dy > 0)) ++concordant;
+      else ++discordant;
+    }
+  }
+  RankAgreement ra;
+  ra.n = static_cast<int>(scored.size());
+  const double untied = static_cast<double>(concordant + discordant);
+  const double den = std::sqrt((untied + static_cast<double>(tied_x)) *
+                               (untied + static_cast<double>(tied_y)));
+  ra.tau = den > 0 ? static_cast<double>(concordant - discordant) / den
+                   : std::numeric_limits<double>::quiet_NaN();
+  return ra;
 }
 
 std::string report_to_string(const Report& report) {
@@ -250,10 +256,12 @@ std::string report_to_string(const Report& report) {
                   r.stages.c_str());
     os << line;
   }
-  if (std::isfinite(report.correlation)) {
+  const RankAgreement ra = rank_agreement(report);
+  if (ra.n >= kMinRankRows && std::isfinite(ra.tau)) {
     std::snprintf(line, sizeof line,
-                  "predicted/measured correlation: %.3f\n",
-                  report.correlation);
+                  "predicted/measured rank agreement: Kendall tau %.3f over "
+                  "%d groups\n",
+                  ra.tau, ra.n);
     os << line;
   }
   return os.str();

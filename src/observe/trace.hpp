@@ -44,16 +44,26 @@ struct Report {
   std::string pipeline;
   std::vector<ReportRow> rows;  // in execution order
   double total_ms = 0.0;
-  // Pearson correlation of (predicted cost, measured seconds) over the
-  // non-reduction groups with finite cost; NaN when fewer than two such
-  // groups.  A high value means Algorithm 2's ranking tracks reality.
-  double correlation = 0.0;
 };
 
 Report make_report(const RunTrace& trace);
 
+// How well predicted cost ranks the groups by measured time: Kendall's
+// tau-b over the scored rows (non-reduction, finite cost).  One pipeline
+// has a handful of groups, and over two or three tau can only read +-1 or
+// +-1/3, so it is printed with its n and only from kMinRankRows rows on.
+// A high tau means Algorithm 2's ranking tracks reality.
+struct RankAgreement {
+  int n = 0;         // scored rows
+  double tau = 0.0;  // NaN when n < 2 or either column is all ties
+};
+constexpr int kMinRankRows = 4;
+
+RankAgreement rank_agreement(const Report& report);
+
 // Fixed-width table (one row per group, predicted vs measured columns plus
-// the correlation footer) as printed by `fusedp run --report`.
+// the rank-agreement footer when n >= kMinRankRows) as printed by
+// `fusedp run --report`.
 std::string report_to_string(const Report& report);
 
 }  // namespace fusedp::observe

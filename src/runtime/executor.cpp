@@ -208,20 +208,22 @@ std::int64_t Workspace::allocated_floats() const {
 
 Executor::Executor(const Pipeline& pl, const Grouping& grouping,
                    ExecOptions opts)
-    : pl_(&pl), opts_(opts) {
-  const CompileOptions copts{
-      /*fuse_superops=*/opts_.vector_backend && opts_.superop_fusion,
-      /*vector=*/opts_.vector_backend};
-  plan_ = lower(pl, grouping, copts);
+    : pl_(&pl),
+      plan_(lower(pl, grouping,
+                  CompileOptions{/*fuse_superops=*/opts.vector_backend &&
+                                     opts.superop_fusion,
+                                 /*vector=*/opts.vector_backend})),
+      opts_(opts) {
   FUSEDP_CHECK_CODE(opts_.num_threads >= 1, ErrorCode::kInvalidArgument,
                     "need at least one thread");
-  // Cost-aware never-pessimize gate: vector-backend groups whose static
-  // profile casts doubt on the vector benefit are micro-measured and demoted
-  // back to the plain compiled form when they lose (runtime/benefit.hpp).
-  if (opts_.never_pessimize && opts_.vector_backend &&
-      opts_.mode == EvalMode::kRow) {
-    apply_never_pessimize(plan_, copts, opts_.allow_fma,
-                          opts_.fast_transcendentals);
+  // Static vector-benefit profile, for the plan printer and bench_vector
+  // (runtime/benefit.hpp).  Nothing is timed: the plan depends only on the
+  // pipeline, grouping, options and active row-kernel table.
+  if (opts_.vector_backend && opts_.mode == EvalMode::kRow) {
+    for (GroupPlan& g : plan_.groups)
+      if (!g.is_reduction)
+        g.benefit_cause =
+            analyze_group_benefit(plan_, g, opts_.fast_transcendentals);
   }
   if (opts_.pooled_storage) storage_ = assign_storage(plan_);
 }

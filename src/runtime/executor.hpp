@@ -61,14 +61,6 @@ struct ExecOptions {
   // configuration through a tolerance rung instead of bit-equality.
   // Requires the vectorized compiled backend.
   bool fast_transcendentals = false;
-  // Cost-aware never-pessimize gate: after lowering, statically suspect
-  // groups (libm-bound or gather-bound, see runtime/benefit.hpp) are
-  // micro-measured — a few short row runs of the vector-compiled stages
-  // against the plain-compiled forms — and demoted back to the plain form
-  // when the vector choice loses.  Both forms are bit-identical, so this
-  // changes speed only, never values.  The verdicts are persisted on the
-  // plan (GroupPlan::verdict) and shown by the plan printer.
-  bool never_pessimize = true;
   // Share allocations between materialized intermediates with disjoint live
   // intervals (PolyMage-style storage optimization; see storage/liveness).
   bool pooled_storage = false;

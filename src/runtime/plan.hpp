@@ -15,8 +15,8 @@
 
 namespace fusedp {
 
-// Why a group's vector-backend benefit is (or was) in doubt.  Shared by the
-// never-pessimize gate (runtime/benefit.hpp) and bench_vector's regression
+// Why a group's vector-backend benefit is in doubt.  Shared by the static
+// benefit profile (runtime/benefit.hpp) and bench_vector's regression
 // attribution, so the cost feedback loop speaks one vocabulary.
 enum class BenefitCause : std::uint8_t {
   kNone = 0,          // no static reason to doubt the vector compilation
@@ -27,17 +27,6 @@ enum class BenefitCause : std::uint8_t {
 };
 
 const char* benefit_cause_name(BenefitCause c);
-
-// Outcome of the plan-time never-pessimize micro-measurement for one group
-// (see ExecOptions::never_pessimize and runtime/benefit.hpp).  Persisted on
-// the plan so the printer, benches and tests can read the decision back.
-struct GroupVerdict {
-  bool measured = false;   // the gate micro-measured this group
-  bool demoted = false;    // vector form lost; group recompiled plain
-  double vector_ms = 0.0;  // micro-measure wall time, vector compilation
-  double scalar_ms = 0.0;  // micro-measure wall time, plain compilation
-  BenefitCause cause = BenefitCause::kNone;
-};
 
 struct GroupPlan {
   NodeSet stages;
@@ -54,8 +43,9 @@ struct GroupPlan {
   // Plan-time regions of the nominal full tile; when translatable, the
   // executor shifts these per tile instead of re-deriving them.
   RegionTemplate region_template;
-  // Never-pessimize gate verdict (default: not measured, not demoted).
-  GroupVerdict verdict;
+  // Why the group's vector benefit is in doubt (runtime/benefit.hpp); set
+  // by the Executor for vector row-mode plans, kNone otherwise.
+  BenefitCause benefit_cause = BenefitCause::kNone;
 };
 
 struct ExecutablePlan {

@@ -92,17 +92,9 @@ std::string plan_to_string(const ExecutablePlan& plan,
     }
     out << "// row registers: " << group_regs
         << " total, fused superops: " << group_fused << "\n";
-    if (g.verdict.measured) {
-      out << "// never-pessimize: micro-measured " << g.verdict.vector_ms
-          << " ms vector vs " << g.verdict.scalar_ms << " ms plain ("
-          << benefit_cause_name(g.verdict.cause) << ") -> "
-          << (g.verdict.demoted ? "demoted to plain compilation"
-                                : "vector form kept")
-          << "\n";
-    } else if (g.verdict.cause != BenefitCause::kNone) {
-      out << "// never-pessimize: suspect ("
-          << benefit_cause_name(g.verdict.cause) << "), not measured\n";
-    }
+    if (g.benefit_cause != BenefitCause::kNone)
+      out << "// vector benefit in doubt: "
+          << benefit_cause_name(g.benefit_cause) << "\n";
     for (int s : g.stage_order) {
       const Stage& st = pl.stage(s);
       const bool mat = plan.materialized[static_cast<std::size_t>(s)];

@@ -152,8 +152,8 @@ void add_access(Fnv64& h, const Access& a) {
   }
 }
 
-}  // namespace
-
+// One stage's part of the pipeline fingerprint: name, id, kind, liveout
+// flag, domain, body root, expression arena and load table.
 void add_stage_structure(Fnv64& h, const Stage& s) {
   h.add_tag('S');
   h.add_str(s.name);
@@ -178,6 +178,8 @@ void add_stage_structure(Fnv64& h, const Stage& s) {
   h.add_u64(s.loads.size());
   for (const Access& a : s.loads) add_access(h, a);
 }
+
+}  // namespace
 
 std::uint64_t fingerprint(const Pipeline& pl) {
   Fnv64 h;

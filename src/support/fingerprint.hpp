@@ -26,7 +26,6 @@ namespace fusedp {
 
 class Pipeline;
 struct MachineModel;
-struct Stage;
 
 // Incremental FNV-1a (64-bit).  Every add_* tags the value with its type
 // and, for variable-length data, its length, so distinct structures cannot
@@ -69,12 +68,6 @@ const char* build_git_sha();
 // stage's declared loads/domain/name; code changes to them are covered by
 // the git SHA recorded next to every cache entry.
 std::uint64_t fingerprint(const Pipeline& pl);
-
-// Folds one stage's part of that fingerprint into `h`: name, id, kind,
-// liveout flag, domain, body root, expression arena and load table.
-// fingerprint(const Pipeline&) is this over every stage plus the inputs
-// and outputs; the never-pessimize gate keys its per-stage memo on it.
-void add_stage_structure(Fnv64& h, const Stage& s);
 
 // Fingerprint of everything the cost model reads from the machine: cache
 // sizes, core count, vector width, INNERMOSTTILESIZE and the w1..w4

@@ -280,10 +280,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
             static_cast<std::uint64_t>(std::max(1, max_threads))));
     opts.guard_arena = rng.next_bool(0.5);
     opts.pooled_storage = rng.next_bool(0.25);
-    // The never-pessimize gate only changes which bit-identical compiled
-    // form a group runs, so flipping it must be invisible to every rung;
-    // randomizing it checks exactly that.
-    opts.never_pessimize = rng.next_bool(0.5);
 
     ++res->runs;
     DivergenceRecord rec;
@@ -339,7 +335,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
                                static_cast<std::uint64_t>(
                                    std::max(1, max_threads))));
     opts.pool_backend = rng.next_bool();
-    opts.never_pessimize = rng.next_bool(0.5);
 
     ++res->runs;
     DivergenceRecord rec;
@@ -377,7 +372,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
                                   static_cast<std::uint64_t>(
                                       std::max(1, max_threads))));
       opts2.pool_backend = !opts.pool_backend;
-      opts2.never_pessimize = rng.next_bool(0.5);
       ++res->runs;
       rec.backend = "vector-fastmath(self)";
       rec.opts = opts2;
@@ -488,7 +482,6 @@ std::string DivergenceRecord::to_string() const {
      << " vector=" << opts.vector_backend
      << " superops=" << opts.superop_fusion << " fma=" << opts.allow_fma
      << " fastmath=" << opts.fast_transcendentals
-     << " never_pessimize=" << opts.never_pessimize
      << " pooled=" << opts.pooled_storage << " guard=" << opts.guard_arena
      << " pool_backend=" << opts.pool_backend
      << " row_kernels=" << row_kernel_isa_name(row_kernels);

@@ -1,6 +1,6 @@
 // Accuracy and dispatch tests for the approximate transcendental kernels
-// (runtime/fastmath.hpp) and the ExecOptions::fast_transcendentals /
-// never_pessimize plumbing around them.
+// (runtime/fastmath.hpp), the ExecOptions::fast_transcendentals plumbing
+// around them, and the static vector-benefit profile (runtime/benefit.hpp).
 //
 // The ulp/relative bounds asserted here are ~2-4x the measured worst case
 // of each kernel (exp/log sampled at <= 1 ulp, pow/rsqrt at < 7e-6
@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <type_traits>
 
 #include "fusion/incremental.hpp"
 #include "model/cost.hpp"
@@ -230,18 +232,23 @@ TEST(FastRsqrtTest, SpecialValues) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor-level: fast_transcendentals tolerance, never_pessimize identity.
+// Executor-level: fast_transcendentals tolerance, static benefit profile.
 
 std::vector<Buffer> run_with(const Pipeline& pl, const Grouping& g,
                              const std::vector<Buffer>& inputs,
-                             bool fastmath, bool never_pessimize) {
+                             bool fastmath) {
   ExecOptions opts;
   opts.num_threads = 2;
   opts.mode = EvalMode::kRow;
   opts.vector_backend = true;
   opts.fast_transcendentals = fastmath;
-  opts.never_pessimize = never_pessimize;
   return run_pipeline(pl, g, inputs, opts);
+}
+
+Grouping incremental_grouping(const Pipeline& pl) {
+  const CostModel model(pl, MachineModel::xeon_haswell());
+  IncFusion inc(pl, model);  // keeps a reference to the model
+  return inc.run();
 }
 
 // campipe (tone curve: pow) and bilateral (transcendental-free but
@@ -252,12 +259,9 @@ TEST(FastTranscendentalsTest, CampipeWithinToleranceOfReference) {
   const Pipeline& pl = *spec.pipeline;
   const std::vector<Buffer> inputs = spec.make_inputs();
   const std::vector<Buffer> ref = run_reference(pl, inputs);
-  const CostModel model(pl, MachineModel::xeon_haswell());
-  IncFusion inc(pl, model);  // keeps a reference to the model
-  const Grouping g = inc.run();
+  const Grouping g = incremental_grouping(pl);
 
-  const std::vector<Buffer> outs =
-      run_with(pl, g, inputs, /*fastmath=*/true, /*never_pessimize=*/true);
+  const std::vector<Buffer> outs = run_with(pl, g, inputs, /*fastmath=*/true);
   ASSERT_EQ(outs.size(), pl.outputs().size());
   for (std::size_t o = 0; o < outs.size(); ++o) {
     const Buffer& expect = ref[static_cast<std::size_t>(pl.outputs()[o])];
@@ -271,64 +275,96 @@ TEST(FastTranscendentalsTest, CampipeWithinToleranceOfReference) {
   }
 }
 
-// With fast_transcendentals OFF the vector backend must stay bit-identical
-// to the reference regardless of the never_pessimize gate's decisions —
-// both compiled forms produce identical bits, so demotion is invisible.
-TEST(NeverPessimizeTest, GateIsBitInvisible) {
-  for (const char* key : {"campipe", "bilateral"}) {
-    const PipelineSpec spec = make_benchmark(key, 16);
-    const Pipeline& pl = *spec.pipeline;
-    const std::vector<Buffer> inputs = spec.make_inputs();
-    const CostModel model(pl, MachineModel::xeon_haswell());
-    IncFusion inc(pl, model);  // keeps a reference to the model
-    const Grouping g = inc.run();
-
-    const std::vector<Buffer> on =
-        run_with(pl, g, inputs, /*fastmath=*/false, /*never_pessimize=*/true);
-    const std::vector<Buffer> off = run_with(pl, g, inputs, /*fastmath=*/false,
-                                             /*never_pessimize=*/false);
-    ASSERT_EQ(on.size(), off.size());
-    for (std::size_t o = 0; o < on.size(); ++o)
-      EXPECT_TRUE(testing::buffers_equal(on[o], off[o]))
-          << key << " output " << o << " differs at "
-          << testing::first_mismatch(on[o], off[o]);
+// Same compiled program, op for op: what a demotion to the plain form (or
+// any other plan-time rewrite) would change.
+void expect_same_program(const CompiledStage& a, const CompiledStage& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.stage_id, b.stage_id) << where;
+  EXPECT_EQ(a.root, b.root) << where;
+  EXPECT_EQ(a.reg, b.reg) << where;
+  EXPECT_EQ(a.num_regs, b.num_regs) << where;
+  EXPECT_EQ(a.vector_loads, b.vector_loads) << where;
+  EXPECT_EQ(a.fused, b.fused) << where;
+  ASSERT_EQ(a.ops.size(), b.ops.size()) << where;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].op, b.ops[i].op) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].a, b.ops[i].a) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].b, b.ops[i].b) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].c, b.ops[i].c) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].d, b.ops[i].d) << where << " op " << i;
   }
 }
 
-// The gate must fill GroupPlan::verdict: campipe's tone-curve group carries
-// scalar libm pow (fast_transcendentals off), so at least one group is
-// statically suspect and micro-measured.
-TEST(NeverPessimizeTest, VerdictsArePopulated) {
-  const PipelineSpec spec = make_benchmark("campipe", 16);
-  const Pipeline& pl = *spec.pipeline;
-  const CostModel model(pl, MachineModel::xeon_haswell());
-  IncFusion inc(pl, model);  // keeps a reference to the model
-  const Grouping g = inc.run();
+// A plan is a pure function of pipeline, grouping, options and row-kernel
+// table: the Executor runs exactly the programs lower() produces (nothing
+// is timed or demoted at plan time), and with fast_transcendentals off they
+// stay bit-identical to the reference under either kernel table.
+TEST(NeverPessimizeTest, GateIsBitInvisible) {
+  for (const char* key : {"unsharp", "harris", "bilateral", "interpolate",
+                          "campipe", "pyramid", "blur"}) {
+    const PipelineSpec spec = make_benchmark(key, 8);
+    const Pipeline& pl = *spec.pipeline;
+    const std::vector<Buffer> inputs = spec.make_inputs();
+    const std::vector<Buffer> ref = run_reference(pl, inputs);
+    const Grouping g = incremental_grouping(pl);
+    for (RowKernelIsa isa : {RowKernelIsa::kBaseline, RowKernelIsa::kAvx2}) {
+      const detail::ScopedRowKernels kernels(isa);
+      const std::string where =
+          std::string(key) + " " + row_kernel_isa_name(isa);
+      ExecOptions opts;
+      opts.num_threads = 2;
+      const Executor ex(pl, g, opts);
+      const ExecutablePlan lowered = lower(pl, g, CompileOptions{});
+      ASSERT_EQ(ex.plan().compiled.size(), lowered.compiled.size()) << where;
+      for (std::size_t s = 0; s < lowered.compiled.size(); ++s)
+        expect_same_program(ex.plan().compiled[s], lowered.compiled[s],
+                            where + " stage " + std::to_string(s));
 
+      Workspace ws;
+      ex.run(inputs, ws);
+      for (int o : pl.outputs())
+        EXPECT_TRUE(testing::buffers_equal(
+            ws.stage_buffer(o), ref[static_cast<std::size_t>(o)]))
+            << where << " output " << pl.stage(o).name;
+    }
+  }
+}
+
+// The plan group holding the stage named `name`.
+const GroupPlan* group_of(const Pipeline& pl, const ExecutablePlan& plan,
+                          const std::string& name) {
+  for (const GroupPlan& gp : plan.groups)
+    for (int s : gp.stage_order)
+      if (pl.stage(s).name == name) return &gp;
+  return nullptr;
+}
+
+// The Executor records each group's static benefit cause, and nothing
+// else: no field of the plan carries a timing.
+TEST(NeverPessimizeTest, VerdictsArePopulated) {
+  static_assert(
+      std::is_same_v<decltype(GroupPlan::benefit_cause), BenefitCause>,
+      "a group's verdict is its static cause only");
   ExecOptions opts;
   opts.num_threads = 1;
   opts.mode = EvalMode::kRow;
   opts.vector_backend = true;
-  const Executor ex(pl, g, opts);
 
-  int measured = 0, libm_suspects = 0;
-  for (const GroupPlan& gp : ex.plan().groups) {
-    if (gp.verdict.measured) {
-      ++measured;
-      EXPECT_GT(gp.verdict.vector_ms, 0.0);
-      EXPECT_GT(gp.verdict.scalar_ms, 0.0);
-      EXPECT_NE(gp.verdict.cause, BenefitCause::kNone);
-    }
-    if (gp.verdict.cause == BenefitCause::kLibmFallback) ++libm_suspects;
-  }
-  EXPECT_GE(measured, 1);
-  EXPECT_GE(libm_suspects, 1);
+  // campipe's tone-curve group runs scalar libm pow.
+  const PipelineSpec cam = make_benchmark("campipe", 16);
+  const Pipeline& cpl = *cam.pipeline;
+  const Executor cex(cpl, incremental_grouping(cpl), opts);
+  const GroupPlan* curve = group_of(cpl, cex.plan(), "curve");
+  ASSERT_NE(curve, nullptr);
+  EXPECT_EQ(curve->benefit_cause, BenefitCause::kLibmFallback);
 
-  // With never_pessimize off, no group is measured.
-  opts.never_pessimize = false;
-  const Executor ex2(pl, g, opts);
-  for (const GroupPlan& gp : ex2.plan().groups)
-    EXPECT_FALSE(gp.verdict.measured);
+  // bilateral's slicing group gathers through data-dependent grid indices.
+  const PipelineSpec bil = make_benchmark("bilateral", 16);
+  const Pipeline& bpl = *bil.pipeline;
+  const Executor bex(bpl, incremental_grouping(bpl), opts);
+  const GroupPlan* slice = group_of(bpl, bex.plan(), "slice_num");
+  ASSERT_NE(slice, nullptr);
+  EXPECT_EQ(slice->benefit_cause, BenefitCause::kGatherBound);
 }
 
 // With fast_transcendentals ON, campipe's libm suspicion disappears (the
@@ -337,9 +373,7 @@ TEST(NeverPessimizeTest, VerdictsArePopulated) {
 TEST(NeverPessimizeTest, FastmathClearsLibmSuspicion) {
   const PipelineSpec spec = make_benchmark("campipe", 16);
   const Pipeline& pl = *spec.pipeline;
-  const CostModel model(pl, MachineModel::xeon_haswell());
-  IncFusion inc(pl, model);  // keeps a reference to the model
-  const Grouping g = inc.run();
+  const Grouping g = incremental_grouping(pl);
 
   ExecOptions opts;
   opts.num_threads = 1;
@@ -348,7 +382,7 @@ TEST(NeverPessimizeTest, FastmathClearsLibmSuspicion) {
   opts.fast_transcendentals = true;
   const Executor ex(pl, g, opts);
   for (const GroupPlan& gp : ex.plan().groups)
-    EXPECT_NE(gp.verdict.cause, BenefitCause::kLibmFallback);
+    EXPECT_NE(gp.benefit_cause, BenefitCause::kLibmFallback);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for Box math and the pipeline IR / builder.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 
@@ -166,7 +168,9 @@ TEST(PipelineTest, MaxStagesEnforced) {
   Pipeline pl("big");
   const int img = pl.add_input("img", {8, 8});
   for (int i = 0; i < kMaxNodes; ++i) {
-    StageBuilder s(pl, pl.add_stage("s" + std::to_string(i), {8, 8}));
+    std::string name = "s";
+    name += std::to_string(i);
+    StageBuilder s(pl, pl.add_stage(name, {8, 8}));
     s.define(s.in(img, {0, 0}));
   }
   EXPECT_THROW(pl.add_stage("overflow", {8, 8}), Error);

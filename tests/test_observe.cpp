@@ -6,6 +6,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "api/session.hpp"
 #include "observe/trace.hpp"
@@ -345,6 +347,45 @@ TEST(ReportTest, RendersTable) {
   EXPECT_NE(table.find("predicted"), std::string::npos);
   EXPECT_NE(table.find("measured-ms"), std::string::npos);
   EXPECT_NE(table.find(rep.value().pipeline), std::string::npos);
+}
+
+observe::ReportRow scored_row(int group, double predicted, double measured) {
+  observe::ReportRow r;
+  r.group = group;
+  r.stages = std::to_string(group);
+  r.predicted_cost = predicted;
+  r.measured_ms = measured;
+  return r;
+}
+
+TEST(ReportTest, RankAgreementNeedsFourScoredGroups) {
+  // Two scored groups rank perfectly or inversely by construction, so the
+  // footer stays silent.
+  observe::Report two;
+  two.pipeline = "two";
+  two.rows = {scored_row(0, 1.0, 2.0), scored_row(1, 3.0, 5.0)};
+  EXPECT_EQ(observe::rank_agreement(two).n, 2);
+  const std::string quiet = observe::report_to_string(two);
+  EXPECT_EQ(quiet.find("correlation"), std::string::npos) << quiet;
+  EXPECT_EQ(quiet.find("tau"), std::string::npos) << quiet;
+
+  // Four scored rows with one swapped pair: 5 concordant, 1 discordant of
+  // 6 pairs, tau = 4/6.  The reduction and the unscored row are skipped.
+  observe::Report four;
+  four.pipeline = "four";
+  four.rows = {scored_row(0, 1.0, 1.0), scored_row(1, 2.0, 3.0),
+               scored_row(2, 3.0, 2.0), scored_row(3, 4.0, 4.0),
+               scored_row(4, std::numeric_limits<double>::infinity(), 0.5),
+               scored_row(5, 0.0, 9.0)};
+  four.rows[5].is_reduction = true;
+  const observe::RankAgreement ra = observe::rank_agreement(four);
+  EXPECT_EQ(ra.n, 4);
+  EXPECT_NEAR(ra.tau, 4.0 / 6.0, 1e-12);
+  const std::string table = observe::report_to_string(four);
+  EXPECT_NE(table.find("predicted/measured rank agreement: Kendall tau "
+                       "0.667 over 4 groups\n"),
+            std::string::npos)
+      << table;
 }
 
 // --- user observers ---------------------------------------------------------

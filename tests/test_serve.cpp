@@ -263,6 +263,31 @@ TEST(Serve, GovernorAdmissionUnderConcurrentServices) {
   }
 }
 
+// Four services built at once: their schedule searches, plan builds and
+// first runs overlap.  Run under TSan in CI.
+TEST(Serve, ConcurrentCreatesReplyBitExact) {
+  const Fixture f("bilateral", 28);
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<PipelineService>> services(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      auto r = PipelineService::create(*f.spec.pipeline);
+      if (r.ok()) services[static_cast<std::size_t>(t)] = std::move(r).value();
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    PipelineService* svc = services[static_cast<std::size_t>(t)].get();
+    ASSERT_NE(svc, nullptr) << "service " << t;
+    ServeRequest req;
+    req.inputs = f.inputs;
+    Result<ServeReply> reply = svc->call(std::move(req));
+    ASSERT_TRUE(reply.ok()) << reply.error().what();
+    EXPECT_TRUE(reply_matches(reply.value(), f.want)) << "service " << t;
+  }
+}
+
 TEST(Serve, DestructorDrainsInFlightRequests) {
   const Fixture f("unsharp", 16);
   std::vector<PipelineService::Ticket> tickets;

@@ -565,8 +565,9 @@ TEST_P(SessionOpenRouteTest, WiresEverySinkTheSameWay) {
   o.scheduler = Scheduler::kGreedy;
   o.cache_mode = findb::CacheMode::kReadWrite;
   o.cache_dir = dir;
-  if (route == OpenRoute::kWarmHit)
+  if (route == OpenRoute::kWarmHit) {
     ASSERT_TRUE(Session::open(pl, o).ok());  // stores the record to hit
+  }
 
   RecordingObserver user;
   o.collect_trace = sinks != Sinks::kUser;

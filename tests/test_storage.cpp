@@ -1,6 +1,8 @@
 // Tests for liveness-based storage pooling.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fusion/dp.hpp"
 #include "pipelines/pipelines.hpp"
 #include "runtime/executor.hpp"
@@ -17,7 +19,9 @@ TEST(StorageTest, LinearChainCollapsesToTwoSlots) {
   const int img = pl.add_input("img", {32, 32});
   const Stage* prev = nullptr;
   for (int i = 0; i < 6; ++i) {
-    StageBuilder b(pl, pl.add_stage("s" + std::to_string(i), {32, 32}));
+    std::string name = "s";
+    name += std::to_string(i);
+    StageBuilder b(pl, pl.add_stage(name, {32, 32}));
     b.define(prev == nullptr ? b.in(img, {0, 0}) * 2.0f
                              : b.at(*prev, {0, 1}) + 1.0f);
     prev = &b.stage();

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "analysis/scaling.hpp"
 
@@ -39,7 +40,9 @@ std::unique_ptr<Pipeline> random_pipeline(int n, std::int64_t h,
 
     const std::int64_t sh = std::max<std::int64_t>(8, h >> lvl);
     const std::int64_t sw = std::max<std::int64_t>(8, w >> lvl);
-    StageBuilder b(*pl, pl->add_stage("s" + std::to_string(i), {sh, sw}));
+    std::string name = "s";
+    name += std::to_string(i);
+    StageBuilder b(*pl, pl->add_stage(name, {sh, sw}));
     Eh acc = b.cst(0.37f * static_cast<float>(i + 1));
     for (int p : prods) {
       if (p == -2) continue;

@@ -62,8 +62,7 @@ def cmd_gate(args):
         print(f"  group regression: {r.get('pipeline', '?')}"
               f"[{r.get('stages', '?')}] {r.get('speedup', 0):.2f}x "
               f"({r.get('delta_ms', 0):+.3f} ms, "
-              f"cause: {r.get('cause', '?')}"
-              f"{', gate-demoted' if r.get('gate_demoted') else ''})")
+              f"cause: {r.get('cause', '?')})")
     if args.fail_on_group_regression and group_regs:
         failed.extend(f"{r.get('pipeline', '?')}[{r.get('stages', '?')}]"
                       for r in group_regs)
