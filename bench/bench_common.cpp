@@ -23,7 +23,6 @@ BenchConfig BenchConfig::from_cli(const Cli& cli, MachineModel machine) {
   cfg.exec.num_threads = cfg.threads;
   cfg.exec.mode = cli.get_env("mode", "row") == "scalar" ? EvalMode::kScalar
                                                          : EvalMode::kRow;
-  cfg.exec.vector_backend = cli.get_int_env("vector", 1) != 0;
   cfg.exec.allow_fma = cli.get_int_env("fma", 0) != 0;
   cfg.exec.pool_backend = cli.get_int_env("pool-backend", 0) != 0;
   return cfg;
@@ -44,9 +43,7 @@ void BenchConfig::print_header(const char* what) const {
       static_cast<long long>(scale), samples, runs);
   std::printf("# PolyMage-A tuner grid: %s\n", tune.c_str());
   std::printf("# executor: %s backend%s\n\n",
-              exec.mode == EvalMode::kScalar
-                  ? "scalar"
-                  : (exec.vector_backend ? "vector" : "scalar-compiled"),
+              exec.mode == EvalMode::kScalar ? "scalar" : "vector",
               exec.allow_fma ? ", fma" : "");
 }
 
@@ -94,7 +91,6 @@ std::string exec_options_json(const ExecOptions& opts, const char* indent) {
   field("threads", std::to_string(opts.num_threads));
   field("eval_mode",
         opts.mode == EvalMode::kRow ? "\"row\"" : "\"scalar\"");
-  field("vector_backend", opts.vector_backend ? "true" : "false");
   field("allow_fma", opts.allow_fma ? "true" : "false");
   field("fast_transcendentals",
         opts.fast_transcendentals ? "true" : "false");

@@ -29,7 +29,7 @@ struct BenchConfig {
   MachineModel machine;
   // The executor configuration every timed run uses, set explicitly (and
   // recorded in each bench's JSON artifact) so table numbers are never at
-  // the mercy of drifting ExecOptions defaults.  --mode/--vector/--fma/
+  // the mercy of drifting ExecOptions defaults.  --mode/--fma/
   // --pool-backend override the defaults.
   ExecOptions exec;
 

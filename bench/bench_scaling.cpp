@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
 
   ExecOptions openmp_opts;
   openmp_opts.mode = EvalMode::kRow;
-  openmp_opts.vector_backend = true;
   ExecOptions pool_opts = openmp_opts;
   pool_opts.pool_backend = true;
 

@@ -4,7 +4,8 @@
 // its own BENCH_warmstart.json:
 //
 //  0. Warm-start A/B (gates the exit code): cold Session::open (empty
-//     schedule cache, full kAuto search under a deadline) vs. warm open
+//     schedule cache, full kAuto search under perfbench's 150,000-state
+//     budget and a deadline) vs. warm open
 //     (schedule served from the persistent find-db).  Asserts every warm
 //     open actually skipped the search (warm_start(), zero ladder
 //     attempts) and that warm-open p50 is under --warm-tolerance (default
@@ -178,7 +179,11 @@ int main(int argc, char** argv) {
                hw_cores);
 
   // ---- Phase 0: cold-open vs warm-open A/B through the schedule cache. ----
-  // Cold = empty cache directory, full kAuto ladder under --warm-deadline.
+  // Cold = empty cache directory, full kAuto ladder under perfbench's
+  // 150,000-state budget, with --warm-deadline as a backstop.  The budget,
+  // not the deadline, must end the ladder: a deadline-cut search is never
+  // stored (the deadline is not in the cache key), so it would leave
+  // nothing to warm-start from.
   // Warm = the very same Options against the record the cold open stored.
   // The memory tier is off so warm opens measure the cross-process path
   // (shared lock + disk read + re-validation), not the in-process LRU.
@@ -197,6 +202,7 @@ int main(int argc, char** argv) {
       const Pipeline& pl = *spec.pipeline;
       Options o;
       o.scheduler = fusedp::Scheduler::kAuto;
+      o.max_states = 150'000;
       o.deadline_seconds = warm_deadline;
       o.cache_mode = findb::CacheMode::kReadWrite;
       o.cache_dir = cache_dir;
@@ -313,7 +319,6 @@ int main(int argc, char** argv) {
   ExecOptions openmp_opts;
   openmp_opts.num_threads = 1;
   openmp_opts.mode = EvalMode::kRow;
-  openmp_opts.vector_backend = true;
   ExecOptions pool_opts = openmp_opts;
   pool_opts.pool_backend = true;
 

@@ -6,8 +6,6 @@
 // A/B levers:
 //   --mode=scalar           per-point scalar evaluator instead of the
 //                           compiled row kernels
-//   --vector=0              plain compiled program instead of the vector
-//                           backend
 //   --fma=1                 contract multiply-accumulate superops to FMA
 //
 // --overhead-ab runs the request-governance overhead A/B instead: each
@@ -156,20 +154,18 @@ int main(int argc, char** argv) {
       bench::bench_out_path(cli, "BENCH_smoke.json");
   const std::string mode_str = cli.get_env("mode", "row");
   const std::string only = cli.get_env("only", "");
-  const bool vector_backend = cli.get_int_env("vector", 1) != 0;
   const bool allow_fma = cli.get_int_env("fma", 0) != 0;
 
   ExecOptions opts;
   opts.num_threads = threads;
   opts.mode = mode_str == "scalar" ? EvalMode::kScalar : EvalMode::kRow;
-  opts.vector_backend = vector_backend;
   opts.allow_fma = allow_fma;
 
   std::fprintf(stderr,
                "bench_smoke: scale=%lld threads=%d samples=%d runs=%d "
-               "mode=%s vector=%d fma=%d\n",
+               "mode=%s fma=%d\n",
                static_cast<long long>(scale), threads, samples, runs,
-               mode_str.c_str(), vector_backend ? 1 : 0, allow_fma ? 1 : 0);
+               mode_str.c_str(), allow_fma ? 1 : 0);
 
   if (cli.has("overhead-ab"))
     return run_overhead_ab(cli, opts, scale, samples, runs, machine);
@@ -222,9 +218,7 @@ int main(int argc, char** argv) {
       << bench::provenance_json(machine, &opts, "  ")
       << "  \"schedule_source\": \"PolyMageDP\",\n"
       << "  \"backend\": \""
-      << (opts.mode == EvalMode::kScalar
-              ? "scalar"
-              : (vector_backend ? "vector" : "scalar-compiled"))
+      << (opts.mode == EvalMode::kScalar ? "scalar" : "vector")
       << "\",\n"
       << bench::exec_options_json(opts, "  ")
       << "  \"scale\": " << scale << ",\n"

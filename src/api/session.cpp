@@ -59,7 +59,9 @@ std::uint64_t Options::schedule_fingerprint() const {
     h.add_i32(measured_top_k);
     h.add_i32(measured_repeats);
     h.add_i32(num_threads);
-    h.add_i32(vector_backend ? 1 : 0);
+    // Where a since-deleted backend switch was hashed (always 1 by
+    // default): the constant keeps every stored kMeasured key valid.
+    h.add_i32(1);
     h.add_i32(pool_backend ? 1 : 0);
     h.add_i32(fast_transcendentals ? 1 : 0);
   }
@@ -90,20 +92,10 @@ Result<bool> validate_options(const Options& opts) {
     os << "Options::num_threads must be >= 1 (got " << opts.num_threads << ")";
     flag(os.str());
   }
-  if (opts.allow_fma && !opts.vector_backend)
-    flag(
-        "Options::allow_fma requires the vector backend "
-        "(vector_backend = false): FMA contraction is a vector-backend "
-        "superop transformation");
   if (opts.allow_fma && opts.mode == EvalMode::kScalar)
     flag(
         "Options::allow_fma requires the compiled row backend "
         "(mode = kRow)");
-  if (opts.fast_transcendentals && !opts.vector_backend)
-    flag(
-        "Options::fast_transcendentals requires the vector backend "
-        "(vector_backend = false): the approximate exp/log/pow kernels are "
-        "a vector-backend transformation");
   if (opts.fast_transcendentals && opts.mode == EvalMode::kScalar)
     flag(
         "Options::fast_transcendentals requires the compiled row backend "
@@ -413,10 +405,10 @@ void Session::emit_cache_event(observe::CacheEvent ev) {
   schedule_.cache_events.push_back(std::move(ev));
 }
 
-// The degradation ladder, leanest-last.  Every rung computes bit-identical
-// outputs (the vector backend and superop fusion are bit-exact transforms;
-// the unfused schedule changes only evaluation order across group
-// boundaries, which the executor's overlapped-tiling semantics make
+// The degradation ladder, leanest-last: full -> no-superops -> unfused.
+// Every rung computes bit-identical outputs (superop fusion is a bit-exact
+// transform; the unfused schedule changes only evaluation order across
+// group boundaries, which the executor's overlapped-tiling semantics make
 // value-neutral), so degrading trades only speed for robustness.  Every
 // fallback rung drops superops and FMA contraction (a superop transform)
 // and the approximate kernels, since degraded runs must be bit-identical
@@ -425,14 +417,12 @@ void Session::build_rungs() {
   struct Rung {
     const char* label;
     bool applies;
-    bool keep_vector;
     bool unfused;
   };
   const ExecOptions base = make_exec_options(opts_);
   const Rung table[] = {
-      {"no-superops", base.vector_backend && base.superop_fusion, true, false},
-      {"no-vector", base.vector_backend, false, false},
-      {"unfused", true, false, true},
+      {"no-superops", base.superop_fusion, false},
+      {"unfused", true, true},
   };
   rungs_.clear();
   for (const Rung& t : table) {
@@ -440,7 +430,6 @@ void Session::build_rungs() {
     FallbackRung r;
     r.label = t.label;
     r.exec = base;
-    r.exec.vector_backend = base.vector_backend && t.keep_vector;
     r.exec.superop_fusion = false;
     r.exec.allow_fma = false;
     r.exec.fast_transcendentals = false;
@@ -634,14 +623,37 @@ std::vector<double> Session::search(const Deadline& deadline) {
 }
 
 // Phase 3: persist the freshly found schedule_ so the next open
-// warm-starts.  Store failures (lock contention, injected faults, a full
-// disk) are coded events, never open failures — the schedule is already
-// good.
+// warm-starts, unless the search was cut short outside the cache key.
+// Store failures (lock contention, injected faults, a full disk) are coded
+// events, never open failures — the schedule is already good.
 void Session::store(const CacheProbe& probe,
                     const std::vector<double>& measured_ms,
                     const Deadline* deadline) {
   if (probe.db == nullptr || opts_.cache_mode != findb::CacheMode::kReadWrite)
     return;
+  // A search cut short by something the key leaves out (a deadline, a
+  // failed allocation or measured candidate) may answer with a grouping an
+  // unhurried search would not pick, and a stored record would serve it to
+  // every later open.  Only a state-budget failure is sound to store:
+  // max_states is in the key.
+  const std::vector<TierAttempt>& attempts = schedule_.diagnostics.attempts;
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    const TierAttempt& a = attempts[i];
+    if (a.succeeded || a.code == ErrorCode::kSearchBudgetExhausted) continue;
+    std::string label = opts_.scheduler == Scheduler::kMeasured
+                            ? "measured"
+                            : schedule_tier_name(a.tier);
+    if (a.tier == ScheduleTier::kBoundedDp)
+      label += "(limit=" + std::to_string(a.group_limit) + ")";
+    observe::CacheEvent ev;
+    ev.action = "store";
+    ev.outcome = "skipped";
+    ev.detail = "attempt " + std::to_string(i + 1) + " " + label + " [" +
+                error_code_name(a.code) +
+                "]: only a state-budget failure is in the cache key";
+    emit_cache_event(std::move(ev));
+    return;
+  }
   const Grouping& g = schedule_.grouping;
   findb::CacheRecord rec;
   rec.pipeline = pl_->name();

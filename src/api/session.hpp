@@ -146,8 +146,8 @@ struct Options : ExecOptions, AutoScheduleOptions {
   // Execution-time degradation ladder: when > 1, a retryable failure
   // (injected fault, canary trip, allocation failure, resource-budget
   // rejection) retries the request on progressively leaner configurations —
-  // superop fusion off, then the vector backend off, then an unfused
-  // schedule — up to this many total attempts.  Every rung is bit-identical
+  // superop fusion off, then an unfused schedule without superops — up to
+  // this many total attempts.  Every rung is bit-identical
   // by construction, so a degraded success returns the same pixels.
   // kDeadlineExceeded never retries (the clock that expired is still
   // expired).  Each attempt is streamed to the observer as a RunAttempt and

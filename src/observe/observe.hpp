@@ -10,8 +10,7 @@
 // Cost discipline: producers check `observer != nullptr` before touching a
 // clock, and per-tile events are appended to *per-thread* logs that the
 // executor merges once, serially, at group end — no locks or atomics on the
-// tile path, zero work and bit-identical outputs when no sink is attached
-// (bench_vector guards the <2% envelope).
+// tile path, zero work and bit-identical outputs when no sink is attached.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +103,8 @@ struct RunRecord {
 // Session::open).  Outcomes mirror findb::ProbeOutcome names ("hit",
 // "miss", "corrupt", "truncated", "version-skew", "stale-sha",
 // "key-mismatch", "lock-timeout", "io-error", "bypass") plus "stored" /
-// "store-failed" for writes and "invalid-schedule" for a hit whose
+// "store-failed" / "skipped" (a search cut short outside the cache key)
+// for writes and "invalid-schedule" for a hit whose
 // schedule text failed re-validation.  Plain strings keep this header
 // independent of the storage layer.
 struct CacheEvent {
@@ -118,8 +118,8 @@ struct CacheEvent {
 // One rung of the Session's execution-time degradation ladder: a single
 // Executor::run attempt under one configuration.  A request that succeeds
 // first try produces exactly one attempt; a faulting or resource-starved
-// request produces one attempt per rung tried (superops off → vector
-// backend off → unfused), each streamed to the observer as it concludes.
+// request produces one attempt per rung tried (superops off → unfused),
+// each streamed to the observer as it concludes.
 struct RunAttempt {
   int index = 0;          // 1-based attempt number within the request
   std::string config;     // rung label: "full" / "no-superops" / ...

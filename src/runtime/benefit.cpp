@@ -7,7 +7,6 @@ const char* benefit_cause_name(BenefitCause c) {
     case BenefitCause::kNone: return "none";
     case BenefitCause::kLibmFallback: return "libm-fallback";
     case BenefitCause::kGatherBound: return "gather-bound";
-    case BenefitCause::kFusionPessimized: return "fusion-pessimized";
   }
   return "?";
 }

@@ -1,20 +1,15 @@
 // Static vector-benefit profile of a plan's groups.
 //
-// The vector backend (superop fusion + register allocation + SIMD loads) is
-// bit-identical to the plain compiled form, but not unconditionally faster:
-// groups whose rows are dominated by scalar-libm transcendentals or by
-// data-dependent gathers can see the vector bookkeeping cost more than the
-// kernels save.  analyze_group_benefit profiles each group's compiled
-// programs and names the cause when the vector benefit is in doubt
-// (libm-fallback / gather-bound).  The Executor records the cause on
-// GroupPlan::benefit_cause for the plan printer, and bench_vector shares it
-// for its regression attribution.
+// The compiled row backend (superop fusion + register allocation + SIMD
+// loads) does not speed every group up equally: groups whose rows are
+// dominated by scalar-libm transcendentals or by data-dependent gathers
+// gain little from vectorization.  analyze_group_benefit profiles each
+// group's compiled programs and names the cause when the vector benefit is
+// in doubt (libm-fallback / gather-bound).  The Executor records the cause
+// on GroupPlan::benefit_cause for the plan printer.
 //
 // Nothing here times anything: a plan is a pure function of the pipeline,
-// the grouping, the ExecOptions and the active row-kernel table.  The
-// never-pessimize contract (vector form never slower than plain) is held
-// end to end by the vector A/B gate (bench_vector plus
-// `tools/bench_compare.py gate`), not by plan-time measurement.
+// the grouping, the ExecOptions and the active row-kernel table.
 #pragma once
 
 #include "runtime/plan.hpp"

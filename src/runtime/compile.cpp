@@ -45,7 +45,6 @@ class StageCompiler {
       compact();
     }
     allocate_registers();
-    cs_.vector_loads = opts_.vector;
     return std::move(cs_);
   }
 
@@ -425,15 +424,6 @@ class StageCompiler {
   void allocate_registers() {
     const std::int32_t n = cs_.num_slots();
     cs_.reg.assign(static_cast<std::size_t>(n), -1);
-    if (!opts_.vector) {
-      // Identity assignment: one row per op, the PR-baseline program shape
-      // (the root still writes the caller's row; its slot stays unused so
-      // the arena footprint matches the unallocated layout exactly).
-      for (std::int32_t i = 0; i < n; ++i)
-        if (i != cs_.root) cs_.reg[static_cast<std::size_t>(i)] = i;
-      cs_.num_regs = n;
-      return;
-    }
     const std::int32_t last_dim = s_.rank() - 1;
     std::vector<std::int32_t> last_use(static_cast<std::size_t>(n), -1);
     std::vector<char> pinned(static_cast<std::size_t>(n), 0);
@@ -731,7 +721,6 @@ void CompiledRowEvaluator::eval_row(const CompiledStage& cs,
   fr.n = n;
   fr.last = ctx.stage->rank() - 1;
   fr.out = out;
-  fr.vec = cs.vector_loads;
   fr.allow_fma = allow_fma;
   fr.fast_transcendentals = fast_transcendentals;
   run_row_(fr);

@@ -141,16 +141,9 @@ struct CompiledStage {
   // stay default-initialized and are never evaluated.
   std::vector<CompiledLoad> loads;
   // Row-register assignment: reg[i] is the register op i writes, -1 for the
-  // root (it writes the caller's row).  num_regs is the pool size; without
-  // register allocation the assignment is the identity (one row per op).
+  // root (it writes the caller's row).  num_regs is the pool size.
   std::vector<std::int32_t> reg;
   std::int32_t num_regs = 0;
-  // Enable the vectorized interior load kernels: unclamped stride-1
-  // identity loads forward direct producer pointers instead of copying,
-  // and the common scalings (den==1 strided, num==1/den==2 halving) take
-  // closed-form SIMD gathers instead of the serial incremental stepper.
-  // The index math is identical either way, so loaded bits are identical.
-  bool vector_loads = false;
 
   // Compilation statistics (tests + plan printing).
   std::int32_t source_nodes = 0;  // arena nodes before lowering
@@ -162,15 +155,12 @@ struct CompiledStage {
   bool valid() const { return root >= 0; }
 };
 
-// Backend selection for compile_stage/lower.  The default produces the
-// vectorized backend (superop fusion, row-register allocation, forwarding
-// and closed-form interior gathers); disabling both reproduces the plain
-// one-row-per-op program, kept as the A/B baseline for bench_vector.
+// Options for compile_stage/lower.  Every program gets row-register
+// allocation, forwarding of unclamped stride-1 loads and closed-form
+// interior gathers; `fuse_superops` adds the peephole superop pass.
 // Outputs are bit-identical either way.
 struct CompileOptions {
   bool fuse_superops = true;
-  // Row-register allocation plus CompiledStage::vector_loads.
-  bool vector = true;
 };
 
 // Lowers `s` (kMap only; reductions have no body and yield an invalid

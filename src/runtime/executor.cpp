@@ -210,16 +210,14 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
                    ExecOptions opts)
     : pl_(&pl),
       plan_(lower(pl, grouping,
-                  CompileOptions{/*fuse_superops=*/opts.vector_backend &&
-                                     opts.superop_fusion,
-                                 /*vector=*/opts.vector_backend})),
+                  CompileOptions{/*fuse_superops=*/opts.superop_fusion})),
       opts_(opts) {
   FUSEDP_CHECK_CODE(opts_.num_threads >= 1, ErrorCode::kInvalidArgument,
                     "need at least one thread");
-  // Static vector-benefit profile, for the plan printer and bench_vector
+  // Static vector-benefit profile, for the plan printer
   // (runtime/benefit.hpp).  Nothing is timed: the plan depends only on the
   // pipeline, grouping, options and active row-kernel table.
-  if (opts_.vector_backend && opts_.mode == EvalMode::kRow) {
+  if (opts_.mode == EvalMode::kRow) {
     for (GroupPlan& g : plan_.groups)
       if (!g.is_reduction)
         g.benefit_cause =

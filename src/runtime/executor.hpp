@@ -33,17 +33,12 @@ enum class EvalMode : std::uint8_t {
 struct ExecOptions {
   int num_threads = 1;  // must be >= 1
   EvalMode mode = EvalMode::kRow;
-  // Vectorized compiled backend: superop fusion (multiply-accumulate,
-  // compare-and-blend) plus row-register allocation onto an aligned
-  // L1-resident pool.  Off compiles the plain one-row-per-op program — the
-  // A/B baseline bench_vector measures against.  Outputs are bit-identical
-  // either way (default-mode superops perform the same rounded operations
-  // in the same order as the ops they replace).
-  bool vector_backend = true;
-  // Superop (peephole) fusion inside the vectorized backend.  The
-  // differential verifier toggles this independently of vector_backend to
-  // bisect a divergence between register allocation and superop formation;
-  // ignored when vector_backend is off.
+  // Superop (peephole) fusion in the compiled row backend: multiply-
+  // accumulate and compare-and-blend passes over the register-allocated
+  // program.  Outputs are bit-identical either way (default-mode superops
+  // perform the same rounded operations in the same order as the ops they
+  // replace); the differential verifier and the degradation ladder's
+  // no-superops rung turn it off.
   bool superop_fusion = true;
   // Contract fused multiply-accumulate superops into true FMA (one rounding
   // instead of two).  Changes results by at most the removed intermediate
@@ -59,7 +54,6 @@ struct ExecOptions {
   // differ by the approximation error (ULP-bounded, see fastmath.hpp and
   // docs/performance.md), so the differential verifier compares this
   // configuration through a tolerance rung instead of bit-equality.
-  // Requires the vectorized compiled backend.
   bool fast_transcendentals = false;
   // Share allocations between materialized intermediates with disjoint live
   // intervals (PolyMage-style storage optimization; see storage/liveness).

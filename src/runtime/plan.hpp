@@ -15,15 +15,13 @@
 
 namespace fusedp {
 
-// Why a group's vector-backend benefit is in doubt.  Shared by the static
-// benefit profile (runtime/benefit.hpp) and bench_vector's regression
-// attribution, so the cost feedback loop speaks one vocabulary.
+// Why a group's vector-backend benefit is in doubt, as named by the static
+// benefit profile (runtime/benefit.hpp).
 enum class BenefitCause : std::uint8_t {
-  kNone = 0,          // no static reason to doubt the vector compilation
-  kLibmFallback,      // transcendentals run as scalar libm calls inside the
-                      // vector backend (fast_transcendentals off)
-  kGatherBound,       // dominated by dynamic / upsampled gathers
-  kFusionPessimized,  // measured slower with no static excuse
+  kNone = 0,      // no static reason to doubt the vector compilation
+  kLibmFallback,  // transcendentals run as scalar libm calls inside the
+                  // vector backend (fast_transcendentals off)
+  kGatherBound,   // dominated by dynamic / upsampled gathers
 };
 
 const char* benefit_cause_name(BenefitCause c);
@@ -60,8 +58,8 @@ struct ExecutablePlan {
 };
 
 // Validates the grouping (throws on invalid) and lowers it.  `copts`
-// selects the compiled-stage backend (superop fusion + register allocation
-// by default; see CompileOptions).
+// chooses whether the compiled stages get superop fusion (on by default;
+// see CompileOptions).
 ExecutablePlan lower(const Pipeline& pl, const Grouping& grouping,
                      const CompileOptions& copts = {});
 

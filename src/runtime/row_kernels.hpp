@@ -53,7 +53,6 @@ struct RowFrame {
   std::size_t n = 0;
   int last = 0;  // innermost stage dimension
   float* out = nullptr;
-  bool vec = false;    // CompiledStage::vector_loads
   bool reuse = false;  // constant rows and the ramp are already filled
   bool allow_fma = false;
   bool fast_transcendentals = false;

@@ -181,8 +181,7 @@ ChaosStats run_chaos(const ChaosOptions& opts) {
         o.pool_backend = rng.next_bool(opts.pool_backend_rate);
         if (o.pool_backend) o.num_threads = 2;
         o.scheduler = Scheduler::kGreedy;
-        o.vector_backend = !rng.next_bool(0.2);
-        o.superop_fusion = o.vector_backend && !rng.next_bool(0.2);
+        o.superop_fusion = !rng.next_bool(0.2);
         o.pooled_storage = rng.next_bool(0.3);
         o.guard_arena = rng.next_bool(0.25);
         o.max_run_attempts = opts.max_attempts;

@@ -249,17 +249,16 @@ std::vector<FastmathCmp> classify_fastmath(const Pipeline& pl) {
 struct Cfg {
   const char* name;
   EvalMode mode;
-  bool vec, super, pool;
+  bool super, pool;
 };
 constexpr Cfg kConfigs[] = {
-    {"scalar-tiled", EvalMode::kScalar, false, false, false},
-    {"compiled-plain", EvalMode::kRow, false, false, false},
-    {"vector-nosuper", EvalMode::kRow, true, false, false},
-    {"vector", EvalMode::kRow, true, true, false},
+    {"scalar-tiled", EvalMode::kScalar, false, false},
+    {"vector-nosuper", EvalMode::kRow, false, false},
+    {"vector", EvalMode::kRow, true, false},
     // Same mechanisms as "vector" but tiles claimed through the
     // work-stealing pool (>= 2 lanes, so stealing actually happens): a
     // divergence here indicts the pool executor path, nothing else.
-    {"vector-pool", EvalMode::kRow, true, true, true},
+    {"vector-pool", EvalMode::kRow, true, true},
 };
 
 // Runs every backend config over one grouping, comparing each materialized
@@ -271,7 +270,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
   for (const Cfg& c : kConfigs) {
     ExecOptions opts;
     opts.mode = c.mode;
-    opts.vector_backend = c.vec;
     opts.superop_fusion = c.super;
     opts.pool_backend = c.pool;
     opts.num_threads =
@@ -328,7 +326,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
     const std::vector<FastmathCmp> cls = classify_fastmath(pl);
     ExecOptions opts;
     opts.mode = EvalMode::kRow;
-    opts.vector_backend = true;
     opts.superop_fusion = true;
     opts.fast_transcendentals = true;
     opts.num_threads = 1 + static_cast<int>(rng.next_below(
@@ -479,7 +476,6 @@ std::string DivergenceRecord::to_string() const {
   }
   os << "\n  opts: threads=" << opts.num_threads
      << " mode=" << (opts.mode == EvalMode::kRow ? "row" : "scalar")
-     << " vector=" << opts.vector_backend
      << " superops=" << opts.superop_fusion << " fma=" << opts.allow_fma
      << " fastmath=" << opts.fast_transcendentals
      << " pooled=" << opts.pooled_storage << " guard=" << opts.guard_arena

@@ -256,11 +256,6 @@ void sweep_randomized_tile_sizes(const std::string& key) {
     expect_outputs_match(pl, g, inputs, ref, compiled_row,
                          label + " compiled/kRow");
 
-    ExecOptions legacy_backend = compiled_row;
-    legacy_backend.vector_backend = false;
-    expect_outputs_match(pl, g, inputs, ref, legacy_backend,
-                         label + " compiled/scalar-backend");
-
     ExecOptions scalar = compiled_row;
     scalar.mode = EvalMode::kScalar;
     expect_outputs_match(pl, g, inputs, ref, scalar, label + " kScalar");
@@ -481,11 +476,9 @@ TEST(SuperOpFusionTest, LegacyOptionsDisableFusion) {
 
   CompileOptions legacy;
   legacy.fuse_superops = false;
-  legacy.vector = false;
   const CompiledStage cs = compile_stage(pl.stage(0), legacy);
   ASSERT_TRUE(cs.valid());
   EXPECT_EQ(cs.fused, 0);
-  EXPECT_FALSE(cs.vector_loads);
   for (const CompiledOp& op : cs.ops) EXPECT_EQ(op.super, SuperOp::kNone);
 }
 
@@ -508,11 +501,13 @@ TEST(RegisterAllocationTest, ReusesRegistersWithoutAliasing) {
   for (const char* key : {"unsharp", "harris", "bilateral", "campipe"}) {
     const PipelineSpec spec = make_benchmark(key, 16);
     const Pipeline& pl = *spec.pipeline;
+    bool saw_reuse = false;
     for (int s = 0; s < pl.num_stages(); ++s) {
       const CompiledStage cs = compile_stage(pl.stage(s));
       if (!cs.valid()) continue;
       ASSERT_EQ(cs.reg.size(), cs.ops.size()) << key;
       EXPECT_LE(cs.num_regs, cs.num_slots()) << key;
+      saw_reuse |= cs.num_regs < cs.num_slots();
       for (std::size_t i = 0; i < cs.ops.size(); ++i) {
         const std::int32_t r = cs.reg[i];
         if (static_cast<std::int32_t>(i) == cs.root) {
@@ -531,32 +526,9 @@ TEST(RegisterAllocationTest, ReusesRegistersWithoutAliasing) {
               << key << " stage " << s << " slot " << i;
       }
     }
+    // Some stage of each pipeline is big enough for the allocator to win.
+    EXPECT_TRUE(saw_reuse) << key;
   }
-}
-
-TEST(RegisterAllocationTest, LegacyOptionsGiveIdentityAssignment) {
-  const PipelineSpec spec = make_benchmark("harris", 16);
-  const Pipeline& pl = *spec.pipeline;
-  CompileOptions legacy;
-  legacy.fuse_superops = false;
-  legacy.vector = false;
-  bool saw_reuse = false;
-  for (int s = 0; s < pl.num_stages(); ++s) {
-    const CompiledStage plain = compile_stage(pl.stage(s), legacy);
-    if (!plain.valid()) continue;
-    EXPECT_EQ(plain.num_regs, plain.num_slots());
-    for (std::size_t i = 0; i < plain.reg.size(); ++i) {
-      if (static_cast<std::int32_t>(i) == plain.root)
-        EXPECT_EQ(plain.reg[i], -1);
-      else
-        EXPECT_EQ(plain.reg[i], static_cast<std::int32_t>(i));
-    }
-    const CompiledStage packed = compile_stage(pl.stage(s));
-    if (packed.valid() && packed.num_regs < packed.num_slots())
-      saw_reuse = true;
-  }
-  // At least one Harris stage is big enough for the allocator to win.
-  EXPECT_TRUE(saw_reuse);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,7 +536,7 @@ TEST(RegisterAllocationTest, LegacyOptionsGiveIdentityAssignment) {
 //
 // Innermost tile sizes of 1, vector_width±1 (7/9 for 8-lane AVX2 floats)
 // and primes force every SIMD kernel through remainder lanes, and odd
-// sizes make most tile origins unaligned.  Both backends must stay
+// sizes make most tile origins unaligned.  The compiled form must stay
 // bit-identical to the scalar reference everywhere.
 
 void hostile_row_lengths(const std::string& key) {
@@ -586,12 +558,7 @@ void hostile_row_lengths(const std::string& key) {
     ExecOptions vec;
     vec.num_threads = 2;
     vec.mode = EvalMode::kRow;
-    vec.vector_backend = true;
     expect_outputs_match(pl, g, inputs, ref, vec, label + " vector");
-
-    ExecOptions legacy = vec;
-    legacy.vector_backend = false;
-    expect_outputs_match(pl, g, inputs, ref, legacy, label + " scalar-compiled");
   }
 }
 
@@ -630,7 +597,6 @@ TEST(AllowFmaTest, HarrisWithinToleranceOfReference) {
   ExecOptions opts;
   opts.num_threads = 2;
   opts.mode = EvalMode::kRow;
-  opts.vector_backend = true;
   opts.allow_fma = true;
   const std::vector<Buffer> outs = run_pipeline(pl, g, inputs, opts);
   ASSERT_EQ(outs.size(), pl.outputs().size());

@@ -195,7 +195,7 @@ TEST(SessionDeadlineTest, LadderExhaustionReportsLastCodedError) {
   Options o2;
   o2.num_threads = 1;
   o2.scheduler = Scheduler::kGreedy;
-  o2.max_run_attempts = 4;  // full + 3 rungs
+  o2.max_run_attempts = 3;  // full + 2 rungs
   o2.observer = &rearm;
   Result<Session> sr2 = Session::open(pl, o2);
   ASSERT_TRUE(sr2.ok());
@@ -207,7 +207,7 @@ TEST(SessionDeadlineTest, LadderExhaustionReportsLastCodedError) {
 
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kFaultInjected);
-  EXPECT_EQ(s2.last_report().attempts.size(), 4u);
+  EXPECT_EQ(s2.last_report().attempts.size(), 3u);
   EXPECT_FALSE(s2.last_report().succeeded);
   for (const observe::RunAttempt& a : s2.last_report().attempts)
     EXPECT_EQ(a.code, "fault-injected");

@@ -55,20 +55,16 @@ TEST_P(DegenerateShapes, AllBackendsAllTilingsBitExact) {
       Grouping g = base;
       for (GroupSchedule& gs : g.groups) gs.tile_sizes = ts;
       for (const EvalMode mode : {EvalMode::kRow, EvalMode::kScalar}) {
-        for (const bool vec : {false, true}) {
-          if (mode == EvalMode::kScalar && vec) continue;
-          ExecOptions opts;
-          opts.mode = mode;
-          opts.vector_backend = vec;
-          opts.num_threads = 2;
-          opts.guard_arena = true;  // guards must cope with 1-wide rows
-          const auto outs = run_pipeline(*pl, g, inputs, opts);
-          ASSERT_EQ(outs.size(), 1u);
-          EXPECT_TRUE(testing::buffers_equal(
-              outs[0], ref[static_cast<std::size_t>(pl->outputs()[0])]))
-              << h << "x" << w << " scalar=" << (mode == EvalMode::kScalar)
-              << " vec=" << vec << " tiles=" << ts.size();
-        }
+        ExecOptions opts;
+        opts.mode = mode;
+        opts.num_threads = 2;
+        opts.guard_arena = true;  // guards must cope with 1-wide rows
+        const auto outs = run_pipeline(*pl, g, inputs, opts);
+        ASSERT_EQ(outs.size(), 1u);
+        EXPECT_TRUE(testing::buffers_equal(
+            outs[0], ref[static_cast<std::size_t>(pl->outputs()[0])]))
+            << h << "x" << w << " scalar=" << (mode == EvalMode::kScalar)
+            << " tiles=" << ts.size();
       }
     }
   });

@@ -15,9 +15,8 @@ namespace fusedp {
 namespace {
 
 // Evaluates the last stage's body over its whole domain with the compiled
-// row kernels and with eval_scalar_at, and asserts bit-equality.  Both the
-// plain one-row-per-op program and the vectorized program (superops,
-// register allocation, vector loads) run, with every load on the exact
+// row kernels (superops, register allocation, vector loads) and with
+// eval_scalar_at, and asserts bit-equality, with every load on the exact
 // border-folding kernel.  `srcs` resolves the stage's loads.
 void expect_evaluators_agree(const Pipeline& pl,
                              const std::vector<LoadSrc>& srcs) {
@@ -29,31 +28,27 @@ void expect_evaluators_agree(const Pipeline& pl,
   const Box& dom = st.domain;
   const int last = st.rank() - 1;
   std::vector<float> row(static_cast<std::size_t>(dom.extent(last)));
-  for (const bool vector : {false, true}) {
-    SCOPED_TRACE(vector ? "vector program" : "plain program");
-    const CompiledStage cs =
-        compile_stage(st, CompileOptions{vector, vector});
-    CompiledRowEvaluator ev;
-    std::int64_t c[kMaxDims];
-    for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];
-    for (;;) {
-      ev.eval_row(cs, ctx, clamped.data(), c, dom.lo[last], dom.hi[last],
-                  row.data());
-      for (std::int64_t y = dom.lo[last]; y <= dom.hi[last]; ++y) {
-        c[last] = y;
-        const float expect = eval_scalar_at(ctx, st.body, c);
-        const float got = row[static_cast<std::size_t>(y - dom.lo[last])];
-        if (std::memcmp(&expect, &got, 4) != 0)
-          FAIL() << "mismatch at y=" << y << ": " << expect << " vs " << got;
-      }
-      c[last] = dom.lo[last];
-      int d = last - 1;
-      for (; d >= 0; --d) {
-        if (++c[d] <= dom.hi[d]) break;
-        c[d] = dom.lo[d];
-      }
-      if (d < 0) break;
+  const CompiledStage cs = compile_stage(st);
+  CompiledRowEvaluator ev;
+  std::int64_t c[kMaxDims];
+  for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];
+  for (;;) {
+    ev.eval_row(cs, ctx, clamped.data(), c, dom.lo[last], dom.hi[last],
+                row.data());
+    for (std::int64_t y = dom.lo[last]; y <= dom.hi[last]; ++y) {
+      c[last] = y;
+      const float expect = eval_scalar_at(ctx, st.body, c);
+      const float got = row[static_cast<std::size_t>(y - dom.lo[last])];
+      if (std::memcmp(&expect, &got, 4) != 0)
+        FAIL() << "mismatch at y=" << y << ": " << expect << " vs " << got;
     }
+    c[last] = dom.lo[last];
+    int d = last - 1;
+    for (; d >= 0; --d) {
+      if (++c[d] <= dom.hi[d]) break;
+      c[d] = dom.lo[d];
+    }
+    if (d < 0) break;
   }
 }
 

@@ -240,7 +240,6 @@ std::vector<Buffer> run_with(const Pipeline& pl, const Grouping& g,
   ExecOptions opts;
   opts.num_threads = 2;
   opts.mode = EvalMode::kRow;
-  opts.vector_backend = true;
   opts.fast_transcendentals = fastmath;
   return run_pipeline(pl, g, inputs, opts);
 }
@@ -275,15 +274,14 @@ TEST(FastTranscendentalsTest, CampipeWithinToleranceOfReference) {
   }
 }
 
-// Same compiled program, op for op: what a demotion to the plain form (or
-// any other plan-time rewrite) would change.
+// Same compiled program, op for op: what any plan-time rewrite would
+// change.
 void expect_same_program(const CompiledStage& a, const CompiledStage& b,
                          const std::string& where) {
   EXPECT_EQ(a.stage_id, b.stage_id) << where;
   EXPECT_EQ(a.root, b.root) << where;
   EXPECT_EQ(a.reg, b.reg) << where;
   EXPECT_EQ(a.num_regs, b.num_regs) << where;
-  EXPECT_EQ(a.vector_loads, b.vector_loads) << where;
   EXPECT_EQ(a.fused, b.fused) << where;
   ASSERT_EQ(a.ops.size(), b.ops.size()) << where;
   for (std::size_t i = 0; i < a.ops.size(); ++i) {
@@ -348,7 +346,6 @@ TEST(NeverPessimizeTest, VerdictsArePopulated) {
   ExecOptions opts;
   opts.num_threads = 1;
   opts.mode = EvalMode::kRow;
-  opts.vector_backend = true;
 
   // campipe's tone-curve group runs scalar libm pow.
   const PipelineSpec cam = make_benchmark("campipe", 16);
@@ -378,7 +375,6 @@ TEST(NeverPessimizeTest, FastmathClearsLibmSuspicion) {
   ExecOptions opts;
   opts.num_threads = 1;
   opts.mode = EvalMode::kRow;
-  opts.vector_backend = true;
   opts.fast_transcendentals = true;
   const Executor ex(pl, g, opts);
   for (const GroupPlan& gp : ex.plan().groups)

@@ -195,12 +195,6 @@ TEST(OptionsFingerprintTest, MeasuredKeyCoversNumThreads) {
   expect_measured_only("num_threads", [](Options& o) { o.num_threads = 8; });
 }
 
-TEST(OptionsFingerprintTest, MeasuredKeyCoversVectorBackend) {
-  expect_measured_only("vector_backend", [](Options& o) {
-    o.vector_backend = !o.vector_backend;
-  });
-}
-
 TEST(OptionsFingerprintTest, MeasuredKeyCoversPoolBackend) {
   expect_measured_only("pool_backend",
                        [](Options& o) { o.pool_backend = !o.pool_backend; });

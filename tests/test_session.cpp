@@ -32,29 +32,11 @@ TEST(OptionsValidationTest, RejectsNonPositiveThreads) {
   EXPECT_FALSE(validate_options(o).ok());
 }
 
-TEST(OptionsValidationTest, RejectsFmaWithoutVectorBackend) {
-  Options o;
-  o.allow_fma = true;
-  o.vector_backend = false;
-  Result<bool> r = validate_options(o);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code(), ErrorCode::kInvalidArgument);
-}
-
 TEST(OptionsValidationTest, RejectsFmaWithScalarMode) {
   Options o;
   o.allow_fma = true;
   o.mode = EvalMode::kScalar;
   EXPECT_FALSE(validate_options(o).ok());
-}
-
-TEST(OptionsValidationTest, RejectsFastTranscendentalsWithoutVectorBackend) {
-  Options o;
-  o.fast_transcendentals = true;
-  o.vector_backend = false;
-  Result<bool> r = validate_options(o);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(OptionsValidationTest, RejectsFastTranscendentalsWithScalarMode) {
@@ -245,7 +227,7 @@ TEST(OptionsValidationTest, ReportsEveryViolationInOneMessage) {
   Options o;
   o.num_threads = 0;                       // violation 1
   o.allow_fma = true;
-  o.vector_backend = false;                // violations 2 (fma needs vectors)
+  o.mode = EvalMode::kScalar;              // violation 2 (fma needs kRow)
   o.deadline_seconds = -1.0;               // violation 3
   o.max_run_attempts = 0;                  // violation 4
   o.greedy_t1 = 0;                         // violation 5 (kAuto uses greedy)
@@ -647,7 +629,6 @@ TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
   Options o;
   o.num_threads = 7;
   o.mode = EvalMode::kScalar;
-  o.vector_backend = false;
   o.superop_fusion = false;
   o.pool_backend = true;
   o.pooled_storage = true;
@@ -655,7 +636,6 @@ TEST(OptionsShimTest, ProjectsOntoLegacyStructs) {
   const ExecOptions eo = make_exec_options(o);
   EXPECT_EQ(eo.num_threads, 7);
   EXPECT_EQ(eo.mode, EvalMode::kScalar);
-  EXPECT_FALSE(eo.vector_backend);
   EXPECT_FALSE(eo.superop_fusion);
   EXPECT_TRUE(eo.pool_backend);
   EXPECT_TRUE(eo.pooled_storage);

@@ -70,11 +70,16 @@ const observe::CacheEvent* first_probe(const Session& s) {
   return nullptr;
 }
 
-bool has_event(const Session& s, const std::string& action,
-               const std::string& outcome) {
-  for (const auto& ev : s.cache_events())
+bool has_event(const std::vector<observe::CacheEvent>& events,
+               const std::string& action, const std::string& outcome) {
+  for (const auto& ev : events)
     if (ev.action == action && ev.outcome == outcome) return true;
   return false;
+}
+
+bool has_event(const Session& s, const std::string& action,
+               const std::string& outcome) {
+  return has_event(s.cache_events(), action, outcome);
 }
 
 TEST(SessionCacheValidationTest, RejectsInconsistentCacheOptions) {
@@ -436,6 +441,60 @@ TEST(SessionCacheTest, ReadModeNeverStores) {
   auto again = Session::open(*spec.pipeline, opts);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(first_probe(again.value())->outcome, "miss");
+}
+
+bool any_attempt_failed_with(const Diagnostics& d, ErrorCode code) {
+  for (const TierAttempt& a : d.attempts)
+    if (!a.succeeded && a.code == code) return true;
+  return false;
+}
+
+// The cache key leaves deadlines out, so a search a deadline cut short
+// must not be stored: its answer would be served to every later open,
+// however much time that open has.  A search the state budget cut short
+// is stored, because max_states is in the key.  Which tier the deadline
+// or budget stops does not matter; only the failure codes do.
+TEST(SessionCacheTest, DeadlineCutSearchIsNeverStored) {
+  TempDir dir;
+  findb::FindDb::clear_memory_tier();
+  {
+    // Default state budget: limit 4 cannot finish in the deadline
+    // (AutoScheduleTest.DeadlineKeepsBoundedIncumbent's setup).
+    const PipelineSpec spec = make_benchmark("pyramid", 4);
+    Options o = cache_options(dir.path);
+    o.scheduler = Scheduler::kAuto;
+    o.machine = MachineModel::xeon_haswell();
+    o.deadline_seconds = 4.0;
+    Result<Schedule> cut = Session::schedule(*spec.pipeline, o);
+    ASSERT_TRUE(cut.ok()) << cut.error().what();
+    ASSERT_TRUE(any_attempt_failed_with(cut.value().diagnostics,
+                                        ErrorCode::kDeadlineExceeded))
+        << cut.value().diagnostics.summary();
+    EXPECT_TRUE(has_event(cut.value().cache_events, "store", "skipped"));
+    EXPECT_FALSE(has_event(cut.value().cache_events, "store", "stored"));
+    // Nothing was written under the key a later open probes.
+    EXPECT_FALSE(std::ifstream(
+                     record_path(dir.path, session_key(*spec.pipeline, o)))
+                     .good());
+  }
+  {
+    // Between harris's limit-4 (541) and limit-8 (706) state counts.
+    const PipelineSpec spec = make_benchmark("harris", 16);
+    Options o = cache_options(dir.path);
+    o.scheduler = Scheduler::kAuto;
+    o.max_states = 600;
+    Result<Schedule> cut = Session::schedule(*spec.pipeline, o);
+    ASSERT_TRUE(cut.ok()) << cut.error().what();
+    ASSERT_TRUE(any_attempt_failed_with(cut.value().diagnostics,
+                                        ErrorCode::kSearchBudgetExhausted))
+        << cut.value().diagnostics.summary();
+    EXPECT_TRUE(has_event(cut.value().cache_events, "store", "stored"));
+    Result<Schedule> warm = Session::schedule(*spec.pipeline, o);
+    ASSERT_TRUE(warm.ok()) << warm.error().what();
+    EXPECT_TRUE(warm.value().warm_start);
+    EXPECT_EQ(warm.value().grouping.to_string(*spec.pipeline),
+              cut.value().grouping.to_string(*spec.pipeline));
+  }
 }
 
 TEST(SessionCacheTest, CallerProvidedGroupingBypasses) {

@@ -131,8 +131,7 @@ TEST(Differ, PlantedMiscompileCaughtWithFullRecord) {
   EXPECT_EQ(r.pipeline, "gen3");
   // Only the compiled evaluator hosts the fault point, so the guilty
   // backend must be a compiled config.
-  EXPECT_TRUE(r.backend == "compiled-plain" || r.backend == "vector-nosuper" ||
-              r.backend == "vector")
+  EXPECT_TRUE(r.backend == "vector-nosuper" || r.backend == "vector")
       << r.backend;
   EXPECT_FALSE(r.stage.empty());
   EXPECT_GT(r.rank, 0);
@@ -159,25 +158,20 @@ TEST(Differ, PlantedMiscompileCaughtWithFullRecord) {
 TEST(GuardArena, SyntheticOverrunDetectedCompiled) {
   // "eval.guard_overrun" writes one float past a row register's payload,
   // into the canary line — the class of bug the guard arena exists for.
-  // Both compiled programs (vectorized and plain) carry the guard.
   const auto pl = verify::generate_pipeline(5);
   const auto inputs = verify::generate_inputs(*pl, 5);
-  for (const bool vec : {true, false}) {
-    SCOPED_TRACE(vec ? "vector backend" : "plain backend");
-    ExecOptions opts;
-    opts.guard_arena = true;
-    opts.vector_backend = vec;
-    FaultInjector::arm_corrupt("eval.guard_overrun");
-    try {
-      run_pipeline(*pl, singletons(*pl), inputs, opts);
-      FaultInjector::disarm();
-      ADD_FAILURE() << "guard arena missed the planted overrun";
-    } catch (const Error& e) {
-      FaultInjector::disarm();
-      EXPECT_EQ(e.code(), ErrorCode::kInternal);
-      EXPECT_NE(std::string(e.what()).find("guard"), std::string::npos)
-          << e.what();
-    }
+  ExecOptions opts;
+  opts.guard_arena = true;
+  FaultInjector::arm_corrupt("eval.guard_overrun");
+  try {
+    run_pipeline(*pl, singletons(*pl), inputs, opts);
+    FaultInjector::disarm();
+    ADD_FAILURE() << "guard arena missed the planted overrun";
+  } catch (const Error& e) {
+    FaultInjector::disarm();
+    EXPECT_EQ(e.code(), ErrorCode::kInternal);
+    EXPECT_NE(std::string(e.what()).find("guard"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -187,19 +181,15 @@ TEST(GuardArena, CleanRunsAreBitIdentical) {
     const auto pl = verify::generate_pipeline(seed);
     const auto inputs = verify::generate_inputs(*pl, seed);
     const auto ref = run_reference(*pl, inputs);
-    for (const bool vec : {false, true}) {
-      ExecOptions opts;
-      opts.guard_arena = true;
-      opts.vector_backend = vec;
-      opts.num_threads = 2;
-      const auto outs = run_pipeline(*pl, singletons(*pl), inputs, opts);
-      ASSERT_EQ(outs.size(), pl->outputs().size());
-      for (std::size_t o = 0; o < outs.size(); ++o)
-        EXPECT_TRUE(testing::buffers_equal(
-            outs[o],
-            ref[static_cast<std::size_t>(pl->outputs()[o])]))
-            << "seed " << seed << " output " << o;
-    }
+    ExecOptions opts;
+    opts.guard_arena = true;
+    opts.num_threads = 2;
+    const auto outs = run_pipeline(*pl, singletons(*pl), inputs, opts);
+    ASSERT_EQ(outs.size(), pl->outputs().size());
+    for (std::size_t o = 0; o < outs.size(); ++o)
+      EXPECT_TRUE(testing::buffers_equal(
+          outs[o], ref[static_cast<std::size_t>(pl->outputs()[o])]))
+          << "seed " << seed << " output " << o;
   }
 }
 
@@ -210,7 +200,7 @@ TEST(Differ, GroupingOracleMatchesChosenSchedule) {
   const auto inputs = verify::generate_inputs(*pl, 11);
   const DiffResult res = verify::diff_grouping(*pl, singletons(*pl), inputs, 11);
   EXPECT_FALSE(res.diverged) << res.record.to_string();
-  EXPECT_EQ(res.runs, 8);  // bit-exact configs + fastmath tol/self + Session
+  EXPECT_EQ(res.runs, 7);  // bit-exact configs + fastmath tol/self + Session
 }
 
 }  // namespace

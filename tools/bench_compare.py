@@ -1,19 +1,6 @@
 #!/usr/bin/env python3
 """Gate fusedp BENCH_*.json artifacts.
 
-Two modes:
-
-  gate: enforce the never-pessimize invariant on a single BENCH_vector.json:
-        every pipeline's vector/scalar speedup must be >= --min-speedup
-        (default 1.00 — the vector backend must never lose end to end).
-
-            bench_compare.py gate BENCH_vector.json [--min-speedup=1.00]
-
-        Group-level regressions recorded in the artifact's `regressions`
-        array are reported with their suspected cause but only fail the
-        gate with --fail-on-group-regression (pipeline totals are the
-        contract; sub-ms group noise is attribution, not a failure).
-
   tune-gate: enforce the tuner's never-pessimize contract on a single
         BENCH_tune.json: the fitted model's predicted-vs-measured Pearson
         correlation must not drop below the baseline's (beyond --epsilon,
@@ -36,46 +23,6 @@ def load(path):
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def cmd_gate(args):
-    doc = load(args.artifact)
-    pipelines = doc.get("pipelines", [])
-    if not pipelines:
-        print("bench_compare: artifact has no pipelines", file=sys.stderr)
-        return 2
-    failed = []
-    for p in pipelines:
-        name = p.get("name", "?")
-        speedup = p.get("speedup")
-        if speedup is None:
-            print(f"bench_compare: pipeline {name} has no speedup field",
-                  file=sys.stderr)
-            return 2
-        ok = speedup >= args.min_speedup
-        print(f"  {name:<12} vector/scalar speedup {speedup:5.2f}x"
-              f"{'' if ok else '  BELOW GATE'}")
-        if not ok:
-            failed.append(name)
-    group_regs = doc.get("regressions", [])
-    for r in group_regs:
-        print(f"  group regression: {r.get('pipeline', '?')}"
-              f"[{r.get('stages', '?')}] {r.get('speedup', 0):.2f}x "
-              f"({r.get('delta_ms', 0):+.3f} ms, "
-              f"cause: {r.get('cause', '?')})")
-    if args.fail_on_group_regression and group_regs:
-        failed.extend(f"{r.get('pipeline', '?')}[{r.get('stages', '?')}]"
-                      for r in group_regs)
-    geo = doc.get("geomean_speedup")
-    if geo is not None:
-        print(f"  geomean speedup: {geo:.2f}x")
-    if failed:
-        print(f"bench_compare: never-pessimize gate FAILED for: "
-              f"{', '.join(failed)} (min speedup {args.min_speedup:.2f}x)")
-        return 1
-    print(f"bench_compare: never-pessimize gate passed "
-          f"(all pipelines >= {args.min_speedup:.2f}x)")
-    return 0
 
 
 def cmd_tune_gate(args):
@@ -121,15 +68,6 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="mode", required=True)
-
-    g = sub.add_parser("gate", help="never-pessimize gate on BENCH_vector")
-    g.add_argument("artifact")
-    g.add_argument("--min-speedup", type=float, default=1.00,
-                   help="minimum per-pipeline vector/scalar speedup "
-                        "(default 1.00)")
-    g.add_argument("--fail-on-group-regression", action="store_true",
-                   help="also fail on group-level regressions")
-    g.set_defaults(func=cmd_gate)
 
     t = sub.add_parser("tune-gate",
                        help="tuner never-pessimize gate on BENCH_tune")

@@ -100,9 +100,10 @@ constexpr const char* kTuneFlags[] = {
 
 MachineModel machine_of(const Cli& cli) {
   const std::string m = cli.get("machine", "host");
+  if (m == "host") return MachineModel::host();
   if (m == "xeon") return MachineModel::xeon_haswell();
   if (m == "opteron") return MachineModel::amd_opteron();
-  return MachineModel::host();
+  throw UsageError{"unknown --machine=" + m + " (want host|xeon|opteron)"};
 }
 
 // --bench=KEY, or every paper pipeline for --bench=all (the default).
