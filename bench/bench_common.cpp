@@ -23,7 +23,6 @@ BenchConfig BenchConfig::from_cli(const Cli& cli, MachineModel machine) {
   cfg.exec.num_threads = cfg.threads;
   cfg.exec.mode = cli.get_env("mode", "row") == "scalar" ? EvalMode::kScalar
                                                          : EvalMode::kRow;
-  cfg.exec.allow_fma = cli.get_int_env("fma", 0) != 0;
   cfg.exec.pool_backend = cli.get_int_env("pool-backend", 0) != 0;
   return cfg;
 }
@@ -42,9 +41,8 @@ void BenchConfig::print_header(const char* what) const {
       "runs each (paper: 5 x 500 at full size)\n",
       static_cast<long long>(scale), samples, runs);
   std::printf("# PolyMage-A tuner grid: %s\n", tune.c_str());
-  std::printf("# executor: %s backend%s\n\n",
-              exec.mode == EvalMode::kScalar ? "scalar" : "vector",
-              exec.allow_fma ? ", fma" : "");
+  std::printf("# executor: %s backend\n\n",
+              exec.mode == EvalMode::kScalar ? "scalar" : "vector");
 }
 
 const char* scheduler_name(Scheduler s) {
@@ -91,9 +89,6 @@ std::string exec_options_json(const ExecOptions& opts, const char* indent) {
   field("threads", std::to_string(opts.num_threads));
   field("eval_mode",
         opts.mode == EvalMode::kRow ? "\"row\"" : "\"scalar\"");
-  field("allow_fma", opts.allow_fma ? "true" : "false");
-  field("fast_transcendentals",
-        opts.fast_transcendentals ? "true" : "false");
   field("pooled_storage", opts.pooled_storage ? "true" : "false");
   field("pool_backend", opts.pool_backend ? "true" : "false");
   return s;

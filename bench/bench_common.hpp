@@ -29,8 +29,8 @@ struct BenchConfig {
   MachineModel machine;
   // The executor configuration every timed run uses, set explicitly (and
   // recorded in each bench's JSON artifact) so table numbers are never at
-  // the mercy of drifting ExecOptions defaults.  --mode/--fma/
-  // --pool-backend override the defaults.
+  // the mercy of drifting ExecOptions defaults.  --mode/--pool-backend
+  // override the defaults.
   ExecOptions exec;
 
   static BenchConfig from_cli(const Cli& cli, MachineModel machine);

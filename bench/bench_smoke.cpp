@@ -3,10 +3,9 @@
 // BENCH_smoke.json (ns/pixel per pipeline + machine parameters).  CI runs
 // this in Release and uploads the JSON as an artifact; no gating.
 //
-// A/B levers:
+// A/B lever:
 //   --mode=scalar           per-point scalar evaluator instead of the
 //                           compiled row kernels
-//   --fma=1                 contract multiply-accumulate superops to FMA
 //
 // --overhead-ab runs the request-governance overhead A/B instead: each
 // pipeline timed ungoverned (no deadline, unlimited budget) and governed
@@ -154,18 +153,16 @@ int main(int argc, char** argv) {
       bench::bench_out_path(cli, "BENCH_smoke.json");
   const std::string mode_str = cli.get_env("mode", "row");
   const std::string only = cli.get_env("only", "");
-  const bool allow_fma = cli.get_int_env("fma", 0) != 0;
 
   ExecOptions opts;
   opts.num_threads = threads;
   opts.mode = mode_str == "scalar" ? EvalMode::kScalar : EvalMode::kRow;
-  opts.allow_fma = allow_fma;
 
   std::fprintf(stderr,
                "bench_smoke: scale=%lld threads=%d samples=%d runs=%d "
-               "mode=%s fma=%d\n",
+               "mode=%s\n",
                static_cast<long long>(scale), threads, samples, runs,
-               mode_str.c_str(), allow_fma ? 1 : 0);
+               mode_str.c_str());
 
   if (cli.has("overhead-ab"))
     return run_overhead_ab(cli, opts, scale, samples, runs, machine);

@@ -54,7 +54,7 @@ std::uint64_t Options::schedule_fingerprint() const {
   // digest — but only under kMeasured, keeping every pre-existing cache key
   // for the other schedulers byte-stable across this addition.  The
   // execution knobs join for the same reason: the shoot-out's winner is a
-  // wall-clock verdict taken at this thread count, backend and kernel set.
+  // wall-clock verdict taken at this thread count and tile-loop backend.
   if (scheduler == Scheduler::kMeasured) {
     h.add_i32(measured_top_k);
     h.add_i32(measured_repeats);
@@ -63,7 +63,9 @@ std::uint64_t Options::schedule_fingerprint() const {
     // default): the constant keeps every stored kMeasured key valid.
     h.add_i32(1);
     h.add_i32(pool_backend ? 1 : 0);
-    h.add_i32(fast_transcendentals ? 1 : 0);
+    // Where the since-deleted approximate-transcendentals switch was hashed
+    // (always 0 by default), kept for the same reason.
+    h.add_i32(0);
   }
   return h.digest();
 }
@@ -92,14 +94,6 @@ Result<bool> validate_options(const Options& opts) {
     os << "Options::num_threads must be >= 1 (got " << opts.num_threads << ")";
     flag(os.str());
   }
-  if (opts.allow_fma && opts.mode == EvalMode::kScalar)
-    flag(
-        "Options::allow_fma requires the compiled row backend "
-        "(mode = kRow)");
-  if (opts.fast_transcendentals && opts.mode == EvalMode::kScalar)
-    flag(
-        "Options::fast_transcendentals requires the compiled row backend "
-        "(mode = kRow)");
   if (opts.deadline_seconds < 0.0)
     flag("Options::deadline_seconds must be >= 0 (0 = no deadline)");
   if (opts.run_deadline_seconds < 0.0)
@@ -431,8 +425,6 @@ void Session::build_rungs() {
     r.label = t.label;
     r.exec = base;
     r.exec.superop_fusion = false;
-    r.exec.allow_fma = false;
-    r.exec.fast_transcendentals = false;
     r.unfused = t.unfused;
     rungs_.push_back(std::move(r));
   }
@@ -778,25 +770,6 @@ Result<Session> Session::open(const Pipeline& pl, const Grouping& grouping,
 }
 
 Result<double> Session::execute(const std::vector<Buffer>& inputs) {
-  if (static_cast<int>(inputs.size()) != pl_->num_inputs()) {
-    std::ostringstream os;
-    os << "Session::execute: pipeline '" << pl_->name() << "' takes "
-       << pl_->num_inputs() << " input(s), got " << inputs.size();
-    return Result<double>::failure(ErrorCode::kInvalidArgument, os.str());
-  }
-  for (int i = 0; i < pl_->num_inputs(); ++i) {
-    const Box& dom = pl_->input(i).domain;
-    const Buffer& b = inputs[static_cast<std::size_t>(i)];
-    bool match = b.rank() == dom.rank;
-    for (int d = 0; match && d < dom.rank; ++d)
-      match = b.extent(d) == dom.extent(d);
-    if (!match) {
-      std::ostringstream os;
-      os << "Session::execute: input " << i << " ('" << pl_->input(i).name
-         << "') does not match the declared domain";
-      return Result<double>::failure(ErrorCode::kInvalidArgument, os.str());
-    }
-  }
   const Deadline deadline =
       opts_.run_deadline_seconds > 0.0
           ? Deadline::after(opts_.run_deadline_seconds)

@@ -12,8 +12,7 @@ const char* benefit_cause_name(BenefitCause c) {
 }
 
 BenefitCause analyze_group_benefit(const ExecutablePlan& plan,
-                                   const GroupPlan& g,
-                                   bool fast_transcendentals) {
+                                   const GroupPlan& g) {
   bool libm = false, dynamic = false;
   for (int s : g.stage_order) {
     const CompiledStage& cs = plan.compiled[static_cast<std::size_t>(s)];
@@ -27,7 +26,7 @@ BenefitCause analyze_group_benefit(const ExecutablePlan& plan,
   // rows serial while the vector bookkeeping still costs; dynamic gathers
   // bound throughput on address math rather than the fused arithmetic the
   // vector form accelerates.
-  if (libm && !fast_transcendentals) return BenefitCause::kLibmFallback;
+  if (libm) return BenefitCause::kLibmFallback;
   if (dynamic) return BenefitCause::kGatherBound;
   return BenefitCause::kNone;
 }

@@ -17,11 +17,7 @@
 namespace fusedp {
 
 // Why the vector benefit of `g`'s compiled programs is in doubt, or kNone.
-// `fast_transcendentals` mirrors the executor flag: with the approximate
-// kernels enabled the libm suspicion disappears (the transcendental rows
-// vectorize).
 BenefitCause analyze_group_benefit(const ExecutablePlan& plan,
-                                   const GroupPlan& g,
-                                   bool fast_transcendentals);
+                                   const GroupPlan& g);
 
 }  // namespace fusedp

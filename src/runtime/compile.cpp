@@ -240,10 +240,9 @@ class StageCompiler {
   // stencils); a single-use comparison feeding a kSelect condition
   // collapses into one compare-and-blend.  Fused ops perform the same
   // rounded float operations in the same order as the pair they replace
-  // (contraction into a real FMA only happens at execution time under
-  // allow_fma, and only for mul→add/sub), so default-mode results are
-  // bit-identical.  The fused-away inner op loses its only reference; the
-  // compact() that follows removes it.
+  // (never contracted into an FMA), so results are bit-identical.  The
+  // fused-away inner op loses its only reference; the compact() that
+  // follows removes it.
   void fuse_superops() {
     const std::vector<std::int32_t> uses = count_uses();
     const std::int32_t n = cs_.num_slots();
@@ -270,8 +269,8 @@ class StageCompiler {
         // Which operand becomes the fused inner op, and what is the other
         // operand z?  super_side records the inner op's side so operand
         // order (and with it NaN-payload propagation) is preserved exactly.
-        // When both operands qualify, prefer a multiply so allow_fma can
-        // contract the result.
+        // When both operands qualify, prefer a multiply (the
+        // multiply-accumulate shape); either choice computes the same bits.
         std::int32_t mslot = -1, zslot = -1;
         float zimm = 0.0f;
         std::uint8_t side = 0;
@@ -678,9 +677,7 @@ void CompiledRowEvaluator::eval_row(const CompiledStage& cs,
                                     const StageEvalCtx& ctx,
                                     const unsigned char* load_clamped,
                                     const std::int64_t* base, std::int64_t y0,
-                                    std::int64_t y1, float* out,
-                                    bool allow_fma,
-                                    bool fast_transcendentals) {
+                                    std::int64_t y1, float* out) {
   const std::size_t n = static_cast<std::size_t>(y1 - y0 + 1);
   std::size_t stride = 0;
   float* rows = guard_.carve(arena_, static_cast<std::size_t>(cs.num_regs),
@@ -721,8 +718,6 @@ void CompiledRowEvaluator::eval_row(const CompiledStage& cs,
   fr.n = n;
   fr.last = ctx.stage->rank() - 1;
   fr.out = out;
-  fr.allow_fma = allow_fma;
-  fr.fast_transcendentals = fast_transcendentals;
   run_row_(fr);
 
   // Test-only planted miscompile: flips the low mantissa bit of one output

@@ -17,11 +17,9 @@
 //    becomes one fused two-op pass (SuperOp::kBinChain — the canonical
 //    instance is mul feeding add: a multiply-accumulate), and a single-use
 //    comparison feeding a kSelect condition becomes one compare-and-blend
-//    pass (SuperOp::kCmpBlend).  Default-mode superops are IEEE-bit-identical
-//    to the unfused ops (the multiply and the accumulate stay two rounded
-//    operations; the whole build compiles with -ffp-contract=off).  True
-//    FMA contraction changes rounding and is therefore opt-in only, via
-//    ExecOptions::allow_fma.
+//    pass (SuperOp::kCmpBlend).  Superops are IEEE-bit-identical to the
+//    unfused ops (the multiply and the accumulate stay two rounded
+//    operations; the whole build compiles with -ffp-contract=off).
 //  * Linear-scan row-register allocation maps op results onto a small
 //    reusable pool of 64-byte-aligned, cache-line-padded row registers
 //    carved from one arena, instead of one full row per op.  The per-row
@@ -65,7 +63,7 @@ enum class SuperOp : std::uint8_t {
   // `b` (row) or `imm` (imm_side relative to the inner op).  z is row `c`,
   // or the immediate `imm2` when c < 0.  Both ops come from {add, sub, mul,
   // min, max}; the canonical instance is the multiply-accumulate
-  // (op2 = mul, op = add/sub), the only combination allow_fma contracts.
+  // (op2 = mul, op = add/sub).
   kBinChain,
   // Fused pair-pair: dst = (a op2 b) op (c op3 d) — super_side 2 swaps the
   // outer operands.  Formed by upgrading a row-row kBinChain whose
@@ -230,12 +228,8 @@ struct RowFrame;
 // `load_clamped[i]` selects, per load, the exact border-folding kernel (1)
 // or the unclamped interior kernel (0); the executor passes 0 only when the
 // load's access box over the evaluated region provably stays inside the
-// producer's domain, so both kernels read identical data.
-//
-// `allow_fma` contracts mul→add/sub kBinChain superops into a single fused
-// multiply-add (one rounding instead of two).  Off (the default) keeps
-// results bit-identical to eval_scalar_at; on, results differ by at most
-// the removed intermediate rounding per fused op.
+// producer's domain, so both kernels read identical data.  Results are
+// bit-identical to eval_scalar_at.
 class CompiledRowEvaluator {
  public:
   // Resolves the row-kernel table (active_row_kernels()) once, here.
@@ -246,8 +240,7 @@ class CompiledRowEvaluator {
   // LoadSrc per stage load, as for eval_scalar_at.
   void eval_row(const CompiledStage& cs, const StageEvalCtx& ctx,
                 const unsigned char* load_clamped, const std::int64_t* base,
-                std::int64_t y0, std::int64_t y1, float* out,
-                bool allow_fma = false, bool fast_transcendentals = false);
+                std::int64_t y0, std::int64_t y1, float* out);
 
   // Guard-arena mode (ExecOptions::guard_arena): canary lines around every
   // row register; check_guards() throws a coded Error on a smash — the

@@ -220,8 +220,7 @@ Executor::Executor(const Pipeline& pl, const Grouping& grouping,
   if (opts_.mode == EvalMode::kRow) {
     for (GroupPlan& g : plan_.groups)
       if (!g.is_reduction)
-        g.benefit_cause =
-            analyze_group_benefit(plan_, g, opts_.fast_transcendentals);
+        g.benefit_cause = analyze_group_benefit(plan_, g);
   }
   if (opts_.pooled_storage) storage_ = assign_storage(plan_);
 }
@@ -240,12 +239,21 @@ void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
   const Deadline* deadline = knobs.deadline;
   const int lanes = knobs.lanes > 0 ? knobs.lanes : opts_.num_threads;
   FUSEDP_CHECK_CODE(static_cast<int>(inputs.size()) == pl_->num_inputs(),
-                    ErrorCode::kInvalidArgument, "input count mismatch");
-  for (int i = 0; i < pl_->num_inputs(); ++i)
-    FUSEDP_CHECK_CODE(inputs[static_cast<std::size_t>(i)].volume() ==
-                          pl_->input(i).domain.volume(),
-                      ErrorCode::kInvalidArgument,
-                      "input " + pl_->input(i).name + " extent mismatch");
+                    ErrorCode::kInvalidArgument,
+                    "pipeline '" + pl_->name() + "' takes " +
+                        std::to_string(pl_->num_inputs()) + " input(s), got " +
+                        std::to_string(inputs.size()));
+  for (int i = 0; i < pl_->num_inputs(); ++i) {
+    const Box& dom = pl_->input(i).domain;
+    const Buffer& b = inputs[static_cast<std::size_t>(i)];
+    bool match = b.rank() == dom.rank;
+    for (int d = 0; match && d < dom.rank; ++d)
+      match = b.extent(d) == dom.extent(d);
+    FUSEDP_CHECK_CODE(match, ErrorCode::kInvalidArgument,
+                      "input " + std::to_string(i) + " ('" +
+                          pl_->input(i).name +
+                          "') does not match the declared domain");
+  }
   ws.prepare(plan_, storage_);
 
   if (obs == nullptr) {
@@ -253,7 +261,7 @@ void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
     for (const GroupPlan& g : plan_.groups) {
       if (g.is_reduction) {
         check_deadline(deadline);
-        run_reduction(g, inputs, ws);
+        run_reduction(g, inputs, ws, lanes);
       } else {
         run_group(g, inputs, ws, nullptr, nullptr, false, deadline, lanes,
                   knobs.priority);
@@ -288,7 +296,7 @@ void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
     rec.t_begin = epoch.seconds();
     if (g.is_reduction) {
       check_deadline(deadline);
-      run_reduction(g, inputs, ws);
+      run_reduction(g, inputs, ws, lanes);
       const std::int64_t vol = pl_->stage(g.stages.first()).domain.volume();
       rec.tiles_run = 1;
       rec.computed_elems = vol;
@@ -310,7 +318,7 @@ void Executor::run(const std::vector<Buffer>& inputs, Workspace& ws,
 
 void Executor::run_reduction(const GroupPlan& g,
                              const std::vector<Buffer>& inputs,
-                             Workspace& ws) const {
+                             Workspace& ws, int lanes) const {
   const int sid = g.stages.first();
   const Stage& st = pl_->stage(sid);
   ReductionCtx ctx;
@@ -326,7 +334,7 @@ void Executor::run_reduction(const GroupPlan& g,
   const BufferView out = ws.stage_view(sid);
   std::fill(out.data, out.data + out.volume(), 0.0f);
   ctx.out = out;
-  ctx.num_threads = opts_.num_threads;
+  ctx.num_threads = lanes;
   st.reduction(ctx);
 }
 
@@ -548,8 +556,7 @@ void Executor::run_group(const GroupPlan& g, const std::vector<Buffer>& inputs,
             for_each_row(req, [&](std::int64_t* c) {
               float* out = &out_view.at(c);
               crowev.eval_row(cs, ctx, load_clamped.data(), c, req.lo[last],
-                              req.hi[last], out, opts_.allow_fma,
-                              opts_.fast_transcendentals);
+                              req.hi[last], out);
             });
           } else {
             for_each_row(req, [&](std::int64_t* c) {

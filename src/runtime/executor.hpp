@@ -35,26 +35,11 @@ struct ExecOptions {
   EvalMode mode = EvalMode::kRow;
   // Superop (peephole) fusion in the compiled row backend: multiply-
   // accumulate and compare-and-blend passes over the register-allocated
-  // program.  Outputs are bit-identical either way (default-mode superops
-  // perform the same rounded operations in the same order as the ops they
-  // replace); the differential verifier and the degradation ladder's
+  // program.  Outputs are bit-identical either way (superops perform the
+  // same rounded operations in the same order as the ops they replace);
+  // the differential verifier and the degradation ladder's
   // no-superops rung turn it off.
   bool superop_fusion = true;
-  // Contract fused multiply-accumulate superops into true FMA (one rounding
-  // instead of two).  Changes results by at most the removed intermediate
-  // rounding per fused op, so it is opt-in; leave off for bit-exactness
-  // with the scalar reference.  Fast only when the build targets an FMA-
-  // capable ISA (-DFUSEDP_NATIVE=ON); otherwise std::fma falls back to the
-  // correctly-rounded libm routine.
-  bool allow_fma = false;
-  // Approximate transcendentals: replace the scalar libm exp/log/pow calls
-  // in the compiled row kernels with the vectorizable polynomial
-  // approximations in runtime/fastmath.hpp.  Like allow_fma this is opt-in
-  // and trades bit-exactness with the scalar reference for speed: results
-  // differ by the approximation error (ULP-bounded, see fastmath.hpp and
-  // docs/performance.md), so the differential verifier compares this
-  // configuration through a tolerance rung instead of bit-equality.
-  bool fast_transcendentals = false;
   // Share allocations between materialized intermediates with disjoint live
   // intervals (PolyMage-style storage optimization; see storage/liveness).
   bool pooled_storage = false;
@@ -137,7 +122,9 @@ class Executor {
   Executor(const Pipeline& pl, const Grouping& grouping, ExecOptions opts);
 
   // Runs the whole pipeline.  `inputs[i]` must match pipeline input i's
-  // domain.  Results land in `ws` (prepare()d automatically).
+  // domain in rank and every extent; a wrong count or shape throws a coded
+  // kInvalidArgument naming the input before anything runs.  Results land
+  // in `ws` (prepare()d automatically).
   //
   // With an observer attached, per-tile wall time and work counters are
   // recorded into per-thread logs, merged lock-free at group end, and
@@ -177,8 +164,10 @@ class Executor {
                  const WallTimer* epoch, bool want_tiles,
                  const Deadline* deadline, int lanes,
                  TaskPriority priority) const;
+  // `lanes` is the run's width (RunKnobs::lanes), passed on to the
+  // reduction as ReductionCtx::num_threads.
   void run_reduction(const GroupPlan& g, const std::vector<Buffer>& inputs,
-                     Workspace& ws) const;
+                     Workspace& ws, int lanes) const;
 
   const Pipeline* pl_;
   ExecutablePlan plan_;

@@ -20,7 +20,7 @@ namespace fusedp {
 enum class BenefitCause : std::uint8_t {
   kNone = 0,      // no static reason to doubt the vector compilation
   kLibmFallback,  // transcendentals run as scalar libm calls inside the
-                  // vector backend (fast_transcendentals off)
+                  // vector backend
   kGatherBound,   // dominated by dynamic / upsampled gathers
 };
 

@@ -9,10 +9,9 @@
 // process from the CPU's feature bits).
 //
 // Both builds execute the same IEEE operations in the same order: the
-// whole project compiles with -ffp-contract=off, so -mfma only changes the
-// explicit std::fma of the allow_fma kernels into one instruction with the
-// same single rounding.  The outputs of the two tables are therefore
-// bit-identical.
+// whole project compiles with -ffp-contract=off, so -mfma never contracts
+// a multiply and an add into one rounding.  The outputs of the two tables
+// are therefore bit-identical.
 //
 // This header is also the include set of row_kernels.inc: each including
 // TU includes it before opening its namespace.
@@ -28,7 +27,6 @@
 
 #include "ir/box.hpp"
 #include "runtime/compile.hpp"
-#include "runtime/fastmath.hpp"
 
 namespace fusedp::row_kernels {
 
@@ -54,8 +52,6 @@ struct RowFrame {
   int last = 0;  // innermost stage dimension
   float* out = nullptr;
   bool reuse = false;  // constant rows and the ramp are already filled
-  bool allow_fma = false;
-  bool fast_transcendentals = false;
 };
 
 }  // namespace fusedp::row_kernels

@@ -1,6 +1,5 @@
 #include "verify/differ.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <iomanip>
 #include <numeric>
@@ -15,34 +14,10 @@ namespace fusedp::verify {
 
 namespace {
 
-// Tolerant equality for the fast-transcendentals rung.  The approximate
-// exp/log/pow kernels are documented to a few ulp of relative error, but a
-// pipeline can amplify that (subtraction of near-equal transcendental
-// results), so the rung checks a mixed absolute/relative envelope instead
-// of per-op ulp.  Special values must still agree in kind: NaN with NaN,
-// infinities with matching sign — except at the overflow boundary, where
-// the approximate exp may round a borderline argument across FLT_MAX; a
-// non-finite on one side is accepted when the other side's magnitude is
-// already astronomically large.
-bool tolerably_equal(float want, float got) {
-  std::uint32_t wb, gb;
-  std::memcpy(&wb, &want, sizeof wb);
-  std::memcpy(&gb, &got, sizeof gb);
-  if (wb == gb) return true;
-  const bool wn = std::isnan(want), gn = std::isnan(got);
-  if (wn || gn) return wn && gn;
-  const bool wi = std::isinf(want), gi = std::isinf(got);
-  if (wi && gi) return (want > 0.0f) == (got > 0.0f);
-  if (wi || gi) return std::fabs(wi ? got : want) > 1e30f;
-  return std::fabs(got - want) <= 1e-3f + 1e-2f * std::fabs(want);
-}
-
-// Compares `got` against `want` over `dom` — bit-exact by default, or under
-// tolerably_equal when `tolerant` — and on the first mismatch fills the
-// coordinate/bit fields of `rec` and returns true.
+// Compares `got` against `want` over `dom` bit for bit, and on the first
+// mismatch fills the coordinate/bit fields of `rec` and returns true.
 bool compare_stage(const Box& dom, const BufferView& got,
-                   const BufferView& want, DivergenceRecord* rec,
-                   bool tolerant = false) {
+                   const BufferView& want, DivergenceRecord* rec) {
   std::int64_t c[kMaxDims] = {0, 0, 0, 0};
   for (int d = 0; d < dom.rank; ++d) c[d] = dom.lo[d];
   const int last = dom.rank - 1;
@@ -54,8 +29,7 @@ bool compare_stage(const Box& dom, const BufferView& got,
       std::uint32_t wb, gb;
       std::memcpy(&wb, &w, sizeof wb);
       std::memcpy(&gb, &g, sizeof gb);
-      const bool differ = tolerant ? !tolerably_equal(w, g) : wb != gb;
-      if (differ) {
+      if (wb != gb) {
         rec->rank = dom.rank;
         for (int d = 0; d < dom.rank; ++d) rec->coord[d] = c[d];
         rec->want_bits = wb;
@@ -172,77 +146,6 @@ Grouping singleton_untiled(const Pipeline& pl) {
   return g;
 }
 
-// Per-stage comparison class for the fast-transcendentals rung.
-//
-// The approximate kernels perturb every transcendental result by a few ulp.
-// Through continuous ops that perturbation stays inside tolerably_equal's
-// envelope, but a discontinuous op (floor, comparisons, select, logical
-// ops) or a data-dependent gather index downstream of a transcendental can
-// amplify it to a full quantum jump — no fixed envelope covers that, and it
-// is not a kernel bug.  So each stage is classified by a taint walk:
-//   kBitExact  — no transcendental upstream: fastmath must change nothing;
-//   kTolerance — transcendental-tainted through continuous ops only;
-//   kSelfOnly  — a discontinuity saw tainted input somewhere upstream:
-//                checked only by the bit-exact fastmath-vs-fastmath
-//                self-consistency run, not against the libm reference.
-enum class FastmathCmp : std::uint8_t { kBitExact, kTolerance, kSelfOnly };
-
-std::vector<FastmathCmp> classify_fastmath(const Pipeline& pl) {
-  const int n = pl.num_stages();
-  std::vector<bool> taint(static_cast<std::size_t>(n), false);
-  std::vector<bool> unsafe(static_cast<std::size_t>(n), false);
-  std::vector<FastmathCmp> cls(static_cast<std::size_t>(n),
-                               FastmathCmp::kBitExact);
-  for (int s : pl.graph().topo_order()) {
-    const Stage& st = pl.stage(s);
-    bool in_taint = false, in_unsafe = false;
-    for (const Access& a : st.loads) {
-      if (a.producer.is_input) continue;
-      in_taint = in_taint || taint[static_cast<std::size_t>(a.producer.id)];
-      in_unsafe =
-          in_unsafe || unsafe[static_cast<std::size_t>(a.producer.id)];
-    }
-    bool has_trans = false, has_disc = false, has_dyn = false;
-    const CompiledStage cs = compile_stage(st);
-    if (cs.valid()) {
-      for (const CompiledOp& o : cs.ops) {
-        switch (o.op) {
-          case Op::kExp:
-          case Op::kLog:
-          case Op::kPow:
-            has_trans = true;
-            break;
-          case Op::kFloor:
-          case Op::kLt:
-          case Op::kLe:
-          case Op::kEq:
-          case Op::kAnd:
-          case Op::kOr:
-          case Op::kSelect:
-            has_disc = true;
-            break;
-          default:
-            break;
-        }
-        // Superop-fused comparisons keep the cmp in op2.
-        if (o.super == SuperOp::kCmpBlend) has_disc = true;
-      }
-      for (const CompiledLoad& cl : cs.loads)
-        if (cl.any_dynamic) has_dyn = true;
-    }
-    const std::size_t si = static_cast<std::size_t>(s);
-    taint[si] = in_taint || has_trans;
-    // Conservative: a stage mixing tainted input with any discontinuity is
-    // unsafe even if the discontinuity happens to precede the taint in its
-    // own body.
-    unsafe[si] = in_unsafe || (taint[si] && (has_disc || has_dyn));
-    cls[si] = unsafe[si] ? FastmathCmp::kSelfOnly
-              : taint[si] ? FastmathCmp::kTolerance
-                          : FastmathCmp::kBitExact;
-  }
-  return cls;
-}
-
 // The backend ladder, cheapest-divergence-to-localize first: each config
 // differs from its predecessor by one mechanism, so the first diverging
 // label already names the guilty layer.
@@ -299,86 +202,6 @@ bool run_configs(const Pipeline& pl, const std::vector<Buffer>& inputs,
         const Box& dom = pl.stage(s).domain;
         if (compare_stage(dom, ws.stage_view(s),
                           ref[static_cast<std::size_t>(s)].view(), &rec)) {
-          rec.stage = pl.stage(s).name;
-          res->diverged = true;
-          res->record = std::move(rec);
-          return true;
-        }
-      }
-    } catch (const std::exception& e) {
-      rec.error = e.what();
-      res->diverged = true;
-      res->record = std::move(rec);
-      return true;
-    }
-  }
-
-  // Approximate-transcendentals rung: the full vector backend with
-  // fast_transcendentals on.  Not bit-exact by design — the polynomial
-  // exp/log/pow kernels replace libm — so stages are compared per their
-  // classify_fastmath class: untainted stages bit-exact against the
-  // reference, continuously-tainted stages under tolerably_equal's
-  // envelope, discontinuity-amplified stages only via a second fastmath
-  // run (other tile-loop backend and thread count) that must match the first
-  // bit-for-bit.  The "vector" rung just passed bit-exact with the same
-  // mechanisms, so a failure here indicts the approximate kernels.
-  {
-    const std::vector<FastmathCmp> cls = classify_fastmath(pl);
-    ExecOptions opts;
-    opts.mode = EvalMode::kRow;
-    opts.superop_fusion = true;
-    opts.fast_transcendentals = true;
-    opts.num_threads = 1 + static_cast<int>(rng.next_below(
-                               static_cast<std::uint64_t>(
-                                   std::max(1, max_threads))));
-    opts.pool_backend = rng.next_bool();
-
-    ++res->runs;
-    DivergenceRecord rec;
-    rec.seed = seed;
-    rec.pipeline = pl.name();
-    rec.backend = "vector-fastmath(tol)";
-    rec.opts = opts;
-    rec.schedule = grouping_to_text(pl, g);
-    try {
-      Executor ex(pl, g, opts);
-      Workspace ws;
-      ex.run(inputs, ws);
-      for (int s : topo) {
-        if (!ws.has(s)) continue;
-        const std::size_t si = static_cast<std::size_t>(s);
-        if (cls[si] == FastmathCmp::kSelfOnly) continue;
-        const Box& dom = pl.stage(s).domain;
-        if (compare_stage(dom, ws.stage_view(s), ref[si].view(), &rec,
-                          cls[si] == FastmathCmp::kTolerance)) {
-          rec.stage = pl.stage(s).name;
-          res->diverged = true;
-          res->record = std::move(rec);
-          return true;
-        }
-      }
-
-      // Self-consistency: a second fastmath run on the other tile-loop
-      // backend (OpenMP vs the work-stealing pool) and another thread count
-      // must reproduce the first bit-for-bit — the
-      // approximate kernels are pure functions of their inputs, so any
-      // difference indicts the execution machinery, not the approximation.
-      // This is the only check covering kSelfOnly stages.
-      ExecOptions opts2 = opts;
-      opts2.num_threads = 1 + static_cast<int>(rng.next_below(
-                                  static_cast<std::uint64_t>(
-                                      std::max(1, max_threads))));
-      opts2.pool_backend = !opts.pool_backend;
-      ++res->runs;
-      rec.backend = "vector-fastmath(self)";
-      rec.opts = opts2;
-      Executor ex2(pl, g, opts2);
-      Workspace ws2;
-      ex2.run(inputs, ws2);
-      for (int s : topo) {
-        if (!ws.has(s) || !ws2.has(s)) continue;
-        const Box& dom = pl.stage(s).domain;
-        if (compare_stage(dom, ws2.stage_view(s), ws.stage_view(s), &rec)) {
           rec.stage = pl.stage(s).name;
           res->diverged = true;
           res->record = std::move(rec);
@@ -476,8 +299,7 @@ std::string DivergenceRecord::to_string() const {
   }
   os << "\n  opts: threads=" << opts.num_threads
      << " mode=" << (opts.mode == EvalMode::kRow ? "row" : "scalar")
-     << " superops=" << opts.superop_fusion << " fma=" << opts.allow_fma
-     << " fastmath=" << opts.fast_transcendentals
+     << " superops=" << opts.superop_fusion
      << " pooled=" << opts.pooled_storage << " guard=" << opts.guard_arena
      << " pool_backend=" << opts.pool_backend
      << " row_kernels=" << row_kernel_isa_name(row_kernels);

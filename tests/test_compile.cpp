@@ -1,4 +1,5 @@
-// Tests for the plan-time stage compiler and the interior-tile fast path.
+// Tests for the plan-time stage compiler, the interior-tile fast path and
+// the static vector-benefit profile.
 //
 // The load-bearing invariant: the compiled executor (CompiledStage programs
 // + translated region templates + unclamped interior kernels) is
@@ -7,12 +8,13 @@
 // and tiles larger than the domain.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "fusion/incremental.hpp"
 #include "ir/builder.hpp"
 #include "pipelines/pipelines.hpp"
+#include "runtime/benefit.hpp"
 #include "runtime/compile.hpp"
 #include "runtime/executor.hpp"
 #include "support/rng.hpp"
@@ -581,36 +583,103 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, AdversarialTileTest,
                                            "pyramid", "blur"));
 
 // ---------------------------------------------------------------------------
-// allow_fma: contracted multiply-accumulate is NOT bit-identical, but must
-// stay within a tight relative tolerance of the reference (FMA only skips
-// one intermediate rounding, and may only tighten the error of each MAC).
+// Plans time nothing: the Executor's programs are lower()'s, and each group
+// carries only its static benefit cause (runtime/benefit.hpp).
 
-TEST(AllowFmaTest, HarrisWithinToleranceOfReference) {
-  const PipelineSpec spec = make_benchmark("harris", 24);
-  const Pipeline& pl = *spec.pipeline;
+Grouping incremental_grouping(const Pipeline& pl) {
   const CostModel model(pl, MachineModel::xeon_haswell());
-  const std::vector<Buffer> inputs = spec.make_inputs();
-  const std::vector<Buffer> ref = run_reference(pl, inputs);
-  IncFusion inc(pl, model);
-  const Grouping g = inc.run();
+  IncFusion inc(pl, model);  // keeps a reference to the model
+  return inc.run();
+}
 
-  ExecOptions opts;
-  opts.num_threads = 2;
-  opts.mode = EvalMode::kRow;
-  opts.allow_fma = true;
-  const std::vector<Buffer> outs = run_pipeline(pl, g, inputs, opts);
-  ASSERT_EQ(outs.size(), pl.outputs().size());
-  for (std::size_t o = 0; o < outs.size(); ++o) {
-    const Buffer& expect = ref[static_cast<std::size_t>(pl.outputs()[o])];
-    ASSERT_EQ(outs[o].volume(), expect.volume());
-    const float* got = outs[o].data();
-    const float* want = expect.data();
-    for (std::int64_t i = 0; i < outs[o].volume(); ++i) {
-      ASSERT_TRUE(std::isfinite(got[i])) << "output " << o << " at " << i;
-      const float tol = 1e-3f * (1.0f + std::fabs(want[i]));
-      ASSERT_NEAR(got[i], want[i], tol) << "output " << o << " at " << i;
+// Same compiled program, op for op: what any plan-time rewrite would
+// change.
+void expect_same_program(const CompiledStage& a, const CompiledStage& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.stage_id, b.stage_id) << where;
+  EXPECT_EQ(a.root, b.root) << where;
+  EXPECT_EQ(a.reg, b.reg) << where;
+  EXPECT_EQ(a.num_regs, b.num_regs) << where;
+  EXPECT_EQ(a.fused, b.fused) << where;
+  ASSERT_EQ(a.ops.size(), b.ops.size()) << where;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].op, b.ops[i].op) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].a, b.ops[i].a) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].b, b.ops[i].b) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].c, b.ops[i].c) << where << " op " << i;
+    EXPECT_EQ(a.ops[i].d, b.ops[i].d) << where << " op " << i;
+  }
+}
+
+// A plan is a pure function of pipeline, grouping, options and row-kernel
+// table: the Executor runs exactly the programs lower() produces (nothing
+// is timed or demoted at plan time), and they stay bit-identical to the
+// reference under either kernel table.
+TEST(NeverPessimizeTest, GateIsBitInvisible) {
+  for (const char* key : {"unsharp", "harris", "bilateral", "interpolate",
+                          "campipe", "pyramid", "blur"}) {
+    const PipelineSpec spec = make_benchmark(key, 8);
+    const Pipeline& pl = *spec.pipeline;
+    const std::vector<Buffer> inputs = spec.make_inputs();
+    const std::vector<Buffer> ref = run_reference(pl, inputs);
+    const Grouping g = incremental_grouping(pl);
+    for (RowKernelIsa isa : {RowKernelIsa::kBaseline, RowKernelIsa::kAvx2}) {
+      const detail::ScopedRowKernels kernels(isa);
+      const std::string where =
+          std::string(key) + " " + row_kernel_isa_name(isa);
+      ExecOptions opts;
+      opts.num_threads = 2;
+      const Executor ex(pl, g, opts);
+      const ExecutablePlan lowered = lower(pl, g, CompileOptions{});
+      ASSERT_EQ(ex.plan().compiled.size(), lowered.compiled.size()) << where;
+      for (std::size_t s = 0; s < lowered.compiled.size(); ++s)
+        expect_same_program(ex.plan().compiled[s], lowered.compiled[s],
+                            where + " stage " + std::to_string(s));
+
+      Workspace ws;
+      ex.run(inputs, ws);
+      for (int o : pl.outputs())
+        EXPECT_TRUE(testing::buffers_equal(
+            ws.stage_buffer(o), ref[static_cast<std::size_t>(o)]))
+            << where << " output " << pl.stage(o).name;
     }
   }
+}
+
+// The plan group holding the stage named `name`.
+const GroupPlan* group_of(const Pipeline& pl, const ExecutablePlan& plan,
+                          const std::string& name) {
+  for (const GroupPlan& gp : plan.groups)
+    for (int s : gp.stage_order)
+      if (pl.stage(s).name == name) return &gp;
+  return nullptr;
+}
+
+// The Executor records each group's static benefit cause, and nothing
+// else: no field of the plan carries a timing.
+TEST(NeverPessimizeTest, VerdictsArePopulated) {
+  static_assert(
+      std::is_same_v<decltype(GroupPlan::benefit_cause), BenefitCause>,
+      "a group's verdict is its static cause only");
+  ExecOptions opts;
+  opts.num_threads = 1;
+  opts.mode = EvalMode::kRow;
+
+  // campipe's tone-curve group runs scalar libm pow.
+  const PipelineSpec cam = make_benchmark("campipe", 16);
+  const Pipeline& cpl = *cam.pipeline;
+  const Executor cex(cpl, incremental_grouping(cpl), opts);
+  const GroupPlan* curve = group_of(cpl, cex.plan(), "curve");
+  ASSERT_NE(curve, nullptr);
+  EXPECT_EQ(curve->benefit_cause, BenefitCause::kLibmFallback);
+
+  // bilateral's slicing group gathers through data-dependent grid indices.
+  const PipelineSpec bil = make_benchmark("bilateral", 16);
+  const Pipeline& bpl = *bil.pipeline;
+  const Executor bex(bpl, incremental_grouping(bpl), opts);
+  const GroupPlan* slice = group_of(bpl, bex.plan(), "slice_num");
+  ASSERT_NE(slice, nullptr);
+  EXPECT_EQ(slice->benefit_cause, BenefitCause::kGatherBound);
 }
 
 }  // namespace

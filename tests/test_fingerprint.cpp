@@ -200,12 +200,6 @@ TEST(OptionsFingerprintTest, MeasuredKeyCoversPoolBackend) {
                        [](Options& o) { o.pool_backend = !o.pool_backend; });
 }
 
-TEST(OptionsFingerprintTest, MeasuredKeyCoversFastTranscendentals) {
-  expect_measured_only("fast_transcendentals", [](Options& o) {
-    o.fast_transcendentals = !o.fast_transcendentals;
-  });
-}
-
 TEST(BuildShaTest, NonEmpty) {
   const char* sha = build_git_sha();
   ASSERT_NE(sha, nullptr);

@@ -313,6 +313,39 @@ TEST(PoolExecutor, BitIdenticalOnPaperPipelineAcrossLaneWidths) {
   }
 }
 
+// A reduction runs at the run's width (RunKnobs::lanes), not at
+// ExecOptions::num_threads: a coalesced serving request (lanes 1) must not
+// start a wider team inside a pool worker.
+TEST(PoolExecutor, ReductionRunsAtTheRunsWidth) {
+  Pipeline pl("reduce");
+  const int img = pl.add_input("img", {8, 8});
+  Stage& r = pl.add_reduction("r", {8, 8});
+  r.loads.push_back({{true, img}, {AxisMap::affine(0), AxisMap::affine(1)}});
+  std::atomic<int> seen{0};
+  r.reduction = [&seen](const ReductionCtx& ctx) {
+    seen = ctx.num_threads;
+  };
+  pl.finalize();
+  Grouping g;
+  GroupSchedule gs;
+  gs.stages = NodeSet::single(0);
+  g.groups.push_back(gs);
+
+  ExecOptions opts;
+  opts.num_threads = 4;
+  opts.pool_backend = true;
+  const Executor ex(pl, g, opts);
+  std::vector<Buffer> inputs;
+  inputs.emplace_back(std::vector<std::int64_t>{8, 8});
+  Workspace ws;
+  RunKnobs knobs;
+  knobs.lanes = 1;
+  ex.run(inputs, ws, knobs);
+  EXPECT_EQ(seen.load(), 1);
+  ex.run(inputs, ws);  // no override: the executor's own width
+  EXPECT_EQ(seen.load(), 4);
+}
+
 // PR 6 semantics through the pool backend: the executor's own per-tile
 // deadline probe still produces its exact error contract, and the workspace
 // remains reusable afterwards (re-run without the deadline is clean).

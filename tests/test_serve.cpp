@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -104,6 +105,34 @@ TEST(Serve, ShardedReplyBitIdenticalToReference) {
   const ServeStats st = svc.value()->stats();
   EXPECT_EQ(st.sharded, 1);
   EXPECT_EQ(st.coalesced, 0);
+}
+
+// A buffer with the declared volume but another shape is a coded
+// kInvalidArgument naming the input, and the service keeps serving.
+TEST(Serve, WrongShapeInputIsCoded) {
+  const Fixture f("unsharp", 16);
+  ServeOptions so;
+  so.workers = 2;
+  so.shard_threshold_pixels = std::int64_t{1} << 60;  // force coalesced
+  auto svc_r = PipelineService::create(*f.spec.pipeline, so);
+  ASSERT_TRUE(svc_r.ok()) << svc_r.error().what();
+  PipelineService* svc = svc_r.value().get();
+
+  ServeRequest req;
+  req.inputs.emplace_back(
+      std::vector<std::int64_t>{1, 1, f.inputs[0].volume()});
+  Result<ServeReply> reply = svc->call(std::move(req));
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.code(), ErrorCode::kInvalidArgument);
+  const std::string msg = reply.error().what();
+  EXPECT_NE(msg.find(f.spec.pipeline->input(0).name), std::string::npos)
+      << msg;
+
+  ServeRequest again;
+  again.inputs = f.inputs;
+  Result<ServeReply> clean = svc->call(std::move(again));
+  ASSERT_TRUE(clean.ok()) << clean.error().what();
+  EXPECT_TRUE(reply_matches(clean.value(), f.want));
 }
 
 TEST(Serve, ConcurrentClientsAllVerify) {

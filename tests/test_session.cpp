@@ -32,26 +32,6 @@ TEST(OptionsValidationTest, RejectsNonPositiveThreads) {
   EXPECT_FALSE(validate_options(o).ok());
 }
 
-TEST(OptionsValidationTest, RejectsFmaWithScalarMode) {
-  Options o;
-  o.allow_fma = true;
-  o.mode = EvalMode::kScalar;
-  EXPECT_FALSE(validate_options(o).ok());
-}
-
-TEST(OptionsValidationTest, RejectsFastTranscendentalsWithScalarMode) {
-  Options o;
-  o.fast_transcendentals = true;
-  o.mode = EvalMode::kScalar;
-  EXPECT_FALSE(validate_options(o).ok());
-}
-
-TEST(OptionsValidationTest, AcceptsFastTranscendentalsOnVectorBackend) {
-  Options o;
-  o.fast_transcendentals = true;
-  EXPECT_TRUE(validate_options(o).ok());
-}
-
 TEST(OptionsValidationTest, RejectsNegativeDeadline) {
   Options o;
   o.deadline_seconds = -1.0;
@@ -226,8 +206,7 @@ TEST(OptionsValidationTest, RejectsDegenerateLadderAndGreedyConfig) {
 TEST(OptionsValidationTest, ReportsEveryViolationInOneMessage) {
   Options o;
   o.num_threads = 0;                       // violation 1
-  o.allow_fma = true;
-  o.mode = EvalMode::kScalar;              // violation 2 (fma needs kRow)
+  o.greedy_tolerance = -0.1;               // violation 2
   o.deadline_seconds = -1.0;               // violation 3
   o.max_run_attempts = 0;                  // violation 4
   o.greedy_t1 = 0;                         // violation 5 (kAuto uses greedy)
@@ -237,8 +216,8 @@ TEST(OptionsValidationTest, ReportsEveryViolationInOneMessage) {
   const std::string msg = r.error().what();
   EXPECT_NE(msg.find("violations"), std::string::npos) << msg;
   for (const char* frag :
-       {"num_threads", "allow_fma", "deadline_seconds", "max_run_attempts",
-        "greedy_t1"})
+       {"num_threads", "greedy_tolerance", "deadline_seconds",
+        "max_run_attempts", "greedy_t1"})
     EXPECT_NE(msg.find(frag), std::string::npos) << "missing: " << frag;
   // One "- " bullet per violation.
   int bullets = 0;

@@ -200,7 +200,7 @@ TEST(Differ, GroupingOracleMatchesChosenSchedule) {
   const auto inputs = verify::generate_inputs(*pl, 11);
   const DiffResult res = verify::diff_grouping(*pl, singletons(*pl), inputs, 11);
   EXPECT_FALSE(res.diverged) << res.record.to_string();
-  EXPECT_EQ(res.runs, 7);  // bit-exact configs + fastmath tol/self + Session
+  EXPECT_EQ(res.runs, 5);  // four bit-exact executor configs + Session
 }
 
 }  // namespace

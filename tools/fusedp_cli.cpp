@@ -229,8 +229,7 @@ void verify_grouping(const Cli& cli, const Pipeline& pl, const Grouping& g,
                           res.record.backend + ")");
   }
   std::printf(
-      "verified: %d executor configs clean (bit-exact rungs + fastmath "
-      "tolerance rung), %s row kernels\n",
+      "verified: %d executor configs clean, %s row kernels\n",
       res.runs, row_kernel_isa_name(res.row_kernels));
 }
 

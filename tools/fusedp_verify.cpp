@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
       }
       if (replay) {
         std::printf(
-            "seed %llu clean: %d executor configs (bit-exact rungs + "
-            "fastmath tolerance rung), %s row kernels\n",
+            "seed %llu clean: %d executor configs, %s row kernels\n",
             static_cast<unsigned long long>(s), res.runs,
             row_kernel_isa_name(res.row_kernels));
         // Post-mortem timeline: re-execute the seed's pipeline through the
