@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   f << "    \"deadline_rate\": " << opts.deadline_rate << ",\n";
   f << "    \"memory_budget_bytes\": " << opts.memory_budget_bytes << ",\n";
   f << "    \"pipeline_pool\": " << opts.pipeline_pool << ",\n";
-  f << "    \"max_attempts\": " << opts.max_attempts << ",\n";
   f << "    \"seed\": " << opts.seed << "\n";
   f << "  },\n";
   f << "  \"result\": " << stats.to_json(4) << "\n";

@@ -98,12 +98,6 @@ Result<bool> validate_options(const Options& opts) {
     flag("Options::deadline_seconds must be >= 0 (0 = no deadline)");
   if (opts.run_deadline_seconds < 0.0)
     flag("Options::run_deadline_seconds must be >= 0 (0 = no deadline)");
-  if (opts.max_run_attempts < 1) {
-    std::ostringstream os;
-    os << "Options::max_run_attempts must be >= 1 (got "
-       << opts.max_run_attempts << ")";
-    flag(os.str());
-  }
   const bool uses_dp = opts.scheduler == Scheduler::kAuto ||
                        opts.scheduler == Scheduler::kDp ||
                        opts.scheduler == Scheduler::kIncremental ||
@@ -224,17 +218,18 @@ ScheduleTier tier_from_rung(const std::string& rung) {
   return ScheduleTier::kGreedy;  // "greedy" and anything unrecognized
 }
 
-// Runs `f` and maps whatever it throws to the coded failure every open
-// route reports, so Session::open never throws.
+// Runs `f` and maps whatever it throws to a coded failure, so neither
+// Session::open nor Session::execute ever throws.  `who` names the caller
+// in the out-of-memory message.
 template <typename T, typename F>
-Result<T> coded(F&& f) {
+Result<T> coded(F&& f, const char* who = "Session::open") {
   try {
     return f();
   } catch (const Error& e) {
     return Result<T>(e);
   } catch (const std::bad_alloc&) {
     return Result<T>::failure(ErrorCode::kAllocationFailed,
-                              "Session::open: out of memory");
+                              std::string(who) + ": out of memory");
   } catch (const std::exception& e) {
     return Result<T>::failure(ErrorCode::kInternal, e.what());
   }
@@ -397,55 +392,6 @@ void Session::emit_cache_event(observe::CacheEvent ev) {
   if (observe::Observer* obs = effective_observer())
     obs->on_cache_event(ev);
   schedule_.cache_events.push_back(std::move(ev));
-}
-
-// The degradation ladder, leanest-last: full -> no-superops -> unfused.
-// Every rung computes bit-identical outputs (superop fusion is a bit-exact
-// transform; the unfused schedule changes only evaluation order across
-// group boundaries, which the executor's overlapped-tiling semantics make
-// value-neutral), so degrading trades only speed for robustness.  Every
-// fallback rung drops superops and FMA contraction (a superop transform)
-// and the approximate kernels, since degraded runs must be bit-identical
-// to the reference.
-void Session::build_rungs() {
-  struct Rung {
-    const char* label;
-    bool applies;
-    bool unfused;
-  };
-  const ExecOptions base = make_exec_options(opts_);
-  const Rung table[] = {
-      {"no-superops", base.superop_fusion, false},
-      {"unfused", true, true},
-  };
-  rungs_.clear();
-  for (const Rung& t : table) {
-    if (!t.applies) continue;
-    FallbackRung r;
-    r.label = t.label;
-    r.exec = base;
-    r.exec.superop_fusion = false;
-    r.unfused = t.unfused;
-    rungs_.push_back(std::move(r));
-  }
-}
-
-Executor* Session::attempt_executor(std::size_t i) {
-  if (i == 0) return exec_.get();
-  const std::size_t ri = i - 1;
-  if (ri >= rungs_.size()) return nullptr;  // ladder exhausted
-  FallbackRung& r = rungs_[ri];
-  if (r.executor == nullptr) {
-    if (r.unfused) {
-      CostModel model(*pl_, opts_.machine);
-      Grouping g = singleton_grouping(*pl_, model);
-      r.executor = std::make_unique<Executor>(*pl_, g, r.exec);
-    } else {
-      r.executor =
-          std::make_unique<Executor>(*pl_, schedule_.grouping, r.exec);
-    }
-  }
-  return r.executor.get();
 }
 
 // Phase 1: the find-db probe.  A hit is still untrusted bytes: its
@@ -672,16 +618,15 @@ void Session::store(const CacheProbe& probe,
   emit_cache_event(std::move(ev));
 }
 
-// Phase 4, the compile step: lowers schedule_.grouping to the primary
-// executor and lays out the degradation rungs.  On failure the session
-// keeps its options, sinks and cache events untouched, so steps() can
-// still fall back to a fresh search with them.
+// Phase 4, the compile step: lowers schedule_.grouping to the session's
+// executor.  On failure the session keeps its options, sinks and cache
+// events untouched, so steps() can still fall back to a fresh search with
+// them.
 Result<bool> Session::assemble() {
   return coded<bool>([&] {
     if (schedule_.warm_start) FUSEDP_FAULT_POINT("session.warm_plan");
     exec_ = std::make_unique<Executor>(*pl_, schedule_.grouping,
                                        make_exec_options(opts_));
-    build_rungs();
     return true;
   });
 }
@@ -776,71 +721,32 @@ Result<double> Session::execute(const std::vector<Buffer>& inputs) {
           : Deadline();
   const Deadline* dl = deadline.armed() ? &deadline : nullptr;
 
-  // A failed attempt retries on the next rung of the degradation ladder
-  // when the failure is transient or config-induced: an injected fault or
-  // canary trip (the leaner rung sidesteps the faulty path), an allocation
-  // failure or budget rejection (the leaner rung needs less memory).  An
-  // expired deadline is terminal — no rung can un-expire the clock.
-  auto retryable = [](ErrorCode c) {
-    return c == ErrorCode::kInternal || c == ErrorCode::kAllocationFailed ||
-           c == ErrorCode::kResourceExhausted ||
-           c == ErrorCode::kFaultInjected;
-  };
-
+  // One attempt, and its coded error is the answer.  No retry: a
+  // bit-identical leaner config needs the same memory or more, and an
+  // expired deadline stays expired.
   observe::Observer* obs = effective_observer();
+  WallTimer timer;
+  Result<double> r = coded<double>(
+      [&] {
+        exec_->run(inputs, ws_, obs, dl);
+        return timer.seconds();
+      },
+      "Session::execute");
+
   observe::RunReport report;
   if (!schedule_.cache_events.empty())
     report.cache_outcome = schedule_.cache_events.front().outcome;
   report.warm_start = schedule_.warm_start;
-  WallTimer total;
-  Error last(std::string("Session::execute: no attempts"),
-             ErrorCode::kInternal);
-  for (int attempt = 1; attempt <= opts_.max_run_attempts; ++attempt) {
-    observe::RunAttempt ra;
-    ra.index = attempt;
-    WallTimer t;
-    bool stop = false;
-    try {
-      Executor* ex = attempt_executor(static_cast<std::size_t>(attempt - 1));
-      if (ex == nullptr) break;  // ladder exhausted: report the last error
-      ra.config = attempt == 1
-                      ? "full"
-                      : rungs_[static_cast<std::size_t>(attempt - 2)].label;
-      ex->run(inputs, ws_, obs, dl);
-      ra.succeeded = true;
-      ra.seconds = t.seconds();
-      if (obs != nullptr) obs->on_run_attempt(ra);
-      report.attempts.push_back(ra);
-      report.succeeded = true;
-      report.degraded = attempt > 1;
-      report.final_config = report.attempts.back().config;
-      report.total_seconds = total.seconds();
-      report_ = std::move(report);
-      ran_ = true;
-      return ra.seconds;
-    } catch (const Error& e) {
-      last = e;
-    } catch (const std::bad_alloc&) {
-      last = Error(std::string("Session::execute: out of memory"),
-                   ErrorCode::kAllocationFailed);
-    } catch (const std::exception& e) {
-      last = Error(std::string(e.what()), ErrorCode::kInternal);
-    }
-    if (ra.config.empty()) ra.config = "full";
-    ra.seconds = t.seconds();
-    ra.code = error_code_name(last.code());
-    ra.detail = last.what();
-    if (obs != nullptr) obs->on_run_attempt(ra);
-    report.attempts.push_back(std::move(ra));
-    stop = !retryable(last.code());
-    if (stop) break;
+  observe::RunAttempt& attempt = report.attempt;
+  attempt.succeeded = r.ok();
+  attempt.seconds = r.ok() ? r.value() : timer.seconds();
+  if (!r.ok()) {
+    attempt.code = error_code_name(r.code());
+    attempt.detail = r.error().what();
   }
-  report.succeeded = false;
-  if (!report.attempts.empty())
-    report.final_config = report.attempts.back().config;
-  report.total_seconds = total.seconds();
+  if (obs != nullptr) obs->on_run_attempt(attempt);
   report_ = std::move(report);
-  return Result<double>(last);
+  return r;
 }
 
 Result<std::vector<Buffer>> Session::run(const std::vector<Buffer>& inputs) {
@@ -853,8 +759,8 @@ Result<std::vector<Buffer>> Session::run(const std::vector<Buffer>& inputs) {
 }
 
 const Buffer& Session::output(int i) const {
-  FUSEDP_CHECK_CODE(ran_, ErrorCode::kInvalidArgument,
-                    "Session::output before a successful execute()");
+  FUSEDP_CHECK_CODE(report_.attempt.succeeded, ErrorCode::kInvalidArgument,
+                    "Session::output: the last execute() did not succeed");
   FUSEDP_CHECK_CODE(i >= 0 && i < num_outputs(), ErrorCode::kInvalidArgument,
                     "Session::output index out of range");
   return ws_.stage_buffer(pl_->outputs()[static_cast<std::size_t>(i)]);

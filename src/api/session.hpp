@@ -143,16 +143,6 @@ struct Options : ExecOptions, AutoScheduleOptions {
   // stays reusable.  Distinct from deadline_seconds, which bounds the
   // schedule *search*.
   double run_deadline_seconds = 0.0;
-  // Execution-time degradation ladder: when > 1, a retryable failure
-  // (injected fault, canary trip, allocation failure, resource-budget
-  // rejection) retries the request on progressively leaner configurations —
-  // superop fusion off, then an unfused schedule without superops — up to
-  // this many total attempts.  Every rung is bit-identical
-  // by construction, so a degraded success returns the same pixels.
-  // kDeadlineExceeded never retries (the clock that expired is still
-  // expired).  Each attempt is streamed to the observer as a RunAttempt and
-  // summarized in last_report().
-  int max_run_attempts = 1;
 
   // --- Observability ---
   // Attach the session's own TraceCollector: schedule-ladder attempts and
@@ -230,17 +220,17 @@ class Session {
   // output()).  Returns wall seconds for the run.  The workspace is reused
   // across calls, so repeated execute() measures a warm plan.
   //
-  // Honors Options::run_deadline_seconds and, on retryable coded failures,
-  // walks the degradation ladder up to Options::max_run_attempts attempts
-  // (see last_report() for the attempt-by-attempt post-mortem).  On
-  // success, the returned seconds are the successful attempt's wall time.
+  // Honors Options::run_deadline_seconds.  Each call makes exactly one
+  // attempt: a failure comes back as that attempt's coded error (see
+  // last_report()), and output() stays unavailable until a later call
+  // succeeds.
   Result<double> execute(const std::vector<Buffer>& inputs);
 
   // execute() + copy of the output buffers (pipeline output order).
   Result<std::vector<Buffer>> run(const std::vector<Buffer>& inputs);
 
-  // The i-th pipeline output (pl.outputs() order); valid after a
-  // successful execute()/run().
+  // The i-th pipeline output (pl.outputs() order); valid while the most
+  // recent execute()/run() succeeded.
   const Buffer& output(int i) const;
   int num_outputs() const;
 
@@ -248,9 +238,9 @@ class Session {
   const Options& options() const { return opts_; }
   const Grouping& grouping() const { return schedule_.grouping; }
   const ExecutablePlan& plan() const { return exec_->plan(); }
-  // The primary executor.  Callers may run it concurrently on their own
+  // The session's executor.  Callers may run it concurrently on their own
   // distinct Workspaces (api/serve.hpp does), bypassing the session's
-  // workspace, deadline and degradation ladder.
+  // workspace and deadline.
   const Executor& executor() const { return *exec_; }
   // The open's Schedule, field by field (see Schedule).
   const Diagnostics& diagnostics() const { return schedule_.diagnostics; }
@@ -269,9 +259,8 @@ class Session {
   // Predicted-vs-measured per-group report of the last run.
   Result<observe::Report> report() const;
 
-  // Attempt-by-attempt post-mortem of the most recent execute()/run():
-  // every degradation-ladder attempt with its config, outcome, coded error
-  // and wall time.  Empty before the first execute().
+  // Post-mortem of the most recent execute()/run(): its outcome, coded
+  // error and wall time.  Empty before the first execute().
   const observe::RunReport& last_report() const { return report_; }
 
  private:
@@ -291,21 +280,6 @@ class Session {
   // Streams `ev` to the observer and records it in schedule_.
   void emit_cache_event(observe::CacheEvent ev);
 
-  // One fallback rung of the degradation ladder (the primary attempt runs
-  // on exec_).  Executors are built lazily on the first failure that
-  // reaches the rung and cached for later requests.
-  struct FallbackRung {
-    std::string label;
-    ExecOptions exec;
-    bool unfused = false;  // re-schedule as singleton groups
-    std::unique_ptr<Executor> executor;
-  };
-
-  void build_rungs();
-  // The executor for 0-based attempt index `i` (0 = primary); nullptr once
-  // the ladder is exhausted.  Lazily constructs fallback executors.
-  Executor* attempt_executor(std::size_t i);
-
   const Pipeline* pl_;
   Options opts_;
   Schedule schedule_;
@@ -313,10 +287,10 @@ class Session {
   std::unique_ptr<observe::TraceCollector> collector_;
   std::unique_ptr<observe::TeeObserver> tee_;
   std::unique_ptr<Executor> exec_;
-  std::vector<FallbackRung> rungs_;
   Workspace ws_;
+  // Also the output() guard: outputs are readable while the last run
+  // succeeded.
   observe::RunReport report_;
-  bool ran_ = false;
 
   observe::Observer* effective_observer() const;
 };

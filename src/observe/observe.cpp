@@ -47,47 +47,24 @@ void TraceCollector::on_run_end(const RunRecord& run) {
   t.complete = true;
 }
 
-void TraceCollector::on_run_attempt(const RunAttempt& attempt) {
-  // Attempts attach to the most recent trace: a failed attempt annotates
-  // the (incomplete) trace it aborted; a pre-run failure (e.g. rejected
-  // workspace admission) synthesizes an anonymous trace to carry it.
-  if (runs_.empty()) {
-    runs_.emplace_back();
-    runs_.back().schedule = schedule_;
-    runs_.back().cache = cache_;
-  }
-  runs_.back().attempts.push_back(attempt);
-}
-
 std::string run_report_to_string(const RunReport& report) {
+  const RunAttempt& a = report.attempt;
   std::string out = "run report: ";
-  if (report.attempts.empty()) {
-    out += "no attempts\n";
-    return out;
+  if (a.succeeded) {
+    out += "ok";
+  } else if (a.code.empty()) {
+    return out + "no run yet\n";
+  } else {
+    out += "failed " + a.code;
+    if (!a.detail.empty()) out += ": " + a.detail;
   }
-  out += report.succeeded ? "ok" : "failed";
-  out += " after " + std::to_string(report.attempts.size()) + " attempt" +
-         (report.attempts.size() == 1 ? "" : "s");
-  if (report.degraded) out += " (degraded to " + report.final_config + ")";
   if (!report.cache_outcome.empty()) {
     out += ", cache " + report.cache_outcome;
     if (report.warm_start) out += " (warm start)";
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", report.total_seconds);
-  out += ", " + std::string(buf) + " s total\n";
-  for (const RunAttempt& a : report.attempts) {
-    std::snprintf(buf, sizeof(buf), "%.6f", a.seconds);
-    out += "  attempt " + std::to_string(a.index) + " [" + a.config + "]: ";
-    if (a.succeeded) {
-      out += "ok";
-    } else {
-      out += "fail " + a.code;
-      if (!a.detail.empty()) out += ": " + a.detail;
-    }
-    out += " (" + std::string(buf) + " s)\n";
-  }
-  return out;
+  std::snprintf(buf, sizeof(buf), "%.6f", a.seconds);
+  return out + ", " + buf + " s\n";
 }
 
 }  // namespace fusedp::observe

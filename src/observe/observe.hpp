@@ -115,35 +115,27 @@ struct CacheEvent {
   double seconds = 0.0;      // wall time of the cache operation
 };
 
-// One rung of the Session's execution-time degradation ladder: a single
-// Executor::run attempt under one configuration.  A request that succeeds
-// first try produces exactly one attempt; a faulting or resource-starved
-// request produces one attempt per rung tried (superops off → unfused),
-// each streamed to the observer as it concludes.
+// One Session::execute() call: a single Executor::run attempt, streamed to
+// the observer as it concludes.  on_run_attempt is the only observer
+// callback that carries a failed run's coded error.
 struct RunAttempt {
-  int index = 0;          // 1-based attempt number within the request
-  std::string config;     // rung label: "full" / "no-superops" / ...
   bool succeeded = false;
   std::string code;    // error-code name when !succeeded
   std::string detail;  // failure message when !succeeded
   double seconds = 0.0;
 };
 
-// The per-request summary: every attempt in order plus the terminal state.
+// The per-request summary: the attempt plus how the session's schedule came
+// to be — the cache probe outcome at open ("hit"/"miss"/... ; empty when
+// the cache was off) and whether the schedule was served from the cache
+// without any search.
 struct RunReport {
-  std::vector<RunAttempt> attempts;
-  bool succeeded = false;
-  bool degraded = false;     // succeeded on a fallback rung
-  std::string final_config;  // rung of the last attempt
-  double total_seconds = 0.0;
-  // How the session's schedule came to be: the cache probe outcome at open
-  // ("hit"/"miss"/... ; empty when the cache was off) and whether the
-  // schedule was served from the cache without any search.
+  RunAttempt attempt;
   std::string cache_outcome;
   bool warm_start = false;
 };
 
-// Human-readable attempt ladder (one line per attempt) for `--report`.
+// One line for `--report`: outcome, coded error, cache outcome, seconds.
 std::string run_report_to_string(const RunReport& report);
 
 // The sink interface.  Default implementations do nothing, so a sink
@@ -163,7 +155,7 @@ class Observer {
   virtual void on_run_begin(const RunMeta& meta) { (void)meta; }
   virtual void on_group_end(const GroupRecord& group) { (void)group; }
   virtual void on_run_end(const RunRecord& run) { (void)run; }
-  // One degradation-ladder attempt concluded (success or coded failure).
+  // One execute() concluded (success or coded failure).
   virtual void on_run_attempt(const RunAttempt& attempt) { (void)attempt; }
   // One schedule-cache interaction concluded (probe/store/evict).
   virtual void on_cache_event(const CacheEvent& event) { (void)event; }
@@ -176,10 +168,6 @@ struct RunTrace {
   std::vector<ScheduleAttempt> schedule;  // ladder attempts, in order
   std::vector<CacheEvent> cache;          // cache interactions at open
   std::vector<GroupRecord> groups;        // in execution order
-  // Degradation-ladder attempts observed against this trace (a failed
-  // attempt leaves the trace incomplete; the retry's groups follow in the
-  // next trace).
-  std::vector<RunAttempt> attempts;
   double seconds = 0.0;
   bool complete = false;  // on_run_end seen
 };
@@ -196,7 +184,6 @@ class TraceCollector : public Observer {
   void on_run_begin(const RunMeta& meta) override;
   void on_group_end(const GroupRecord& group) override;
   void on_run_end(const RunRecord& run) override;
-  void on_run_attempt(const RunAttempt& attempt) override;
   void on_cache_event(const CacheEvent& event) override;
 
   // The most recent (possibly still incomplete) run; nullptr before any.

@@ -37,8 +37,8 @@ struct ExecOptions {
   // accumulate and compare-and-blend passes over the register-allocated
   // program.  Outputs are bit-identical either way (superops perform the
   // same rounded operations in the same order as the ops they replace);
-  // the differential verifier and the degradation ladder's
-  // no-superops rung turn it off.
+  // the differential verifier's no-superops rung and the chaos soak turn it
+  // off.
   bool superop_fusion = true;
   // Share allocations between materialized intermediates with disjoint live
   // intervals (PolyMage-style storage optimization; see storage/liveness).
@@ -81,7 +81,7 @@ struct RunKnobs {
 // *before* prepare() allocates anything: a budget rejection surfaces as a
 // coded kResourceExhausted error with the workspace unchanged — still
 // holding (and still charged for) whatever it allocated previously, still
-// reusable for a leaner retry.
+// reusable by the next run.
 class Workspace {
  public:
   // Allocates (or reuses) storage for `plan`.  An empty `storage` gives

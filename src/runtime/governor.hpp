@@ -10,8 +10,8 @@
 // rather than thrashing — and then throws a coded
 // Error(kResourceExhausted) naming used/budget/requested bytes.  Callers
 // (Workspace::prepare, ScratchArena::ensure) charge *before* allocating, so
-// a rejection leaves their state intact and the Session's degradation
-// ladder can retry with a leaner configuration.
+// a rejection leaves their state intact and the caller can run again once
+// memory frees up.
 //
 // The governor is a leaky singleton: first use installs the memhooks and it
 // lives for the rest of the process (arenas may uncharge during static

@@ -20,8 +20,8 @@ namespace fusedp {
 //  * kInvalidPipeline / kInvalidSchedule / kInvalidArgument — caller bug or
 //    bad input; retrying cannot help.
 //  * kSearchBudgetExhausted / kDeadlineExceeded — a search or execution hit
-//    a resource valve; a cheaper tier (bounded DP, greedy, unfused — or a
-//    degraded execution config) can still produce a valid result.
+//    a resource valve; for a search, a cheaper tier (bounded DP, greedy,
+//    unfused) can still produce a valid result.
 //    kDeadlineExceeded is also the terminal state of a run whose per-request
 //    deadline expired mid-execution (Options::run_deadline_seconds).
 //  * kAllocationFailed — out of memory; shrinking the problem may help.

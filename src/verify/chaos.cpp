@@ -109,13 +109,11 @@ bool outputs_match(const Session& s, const PoolEntry& e) {
 void merge(ChaosStats& into, const ChaosStats& from) {
   into.requests += from.requests;
   into.successes += from.successes;
-  into.degraded_successes += from.degraded_successes;
   into.deadline_exceeded += from.deadline_exceeded;
   into.resource_exhausted += from.resource_exhausted;
   into.fault_injected += from.fault_injected;
   into.allocation_failed += from.allocation_failed;
   into.other_coded += from.other_coded;
-  into.attempts += from.attempts;
   into.cache_requests += from.cache_requests;
   into.cache_hits += from.cache_hits;
   into.cache_faults += from.cache_faults;
@@ -184,7 +182,6 @@ ChaosStats run_chaos(const ChaosOptions& opts) {
         o.superop_fusion = !rng.next_bool(0.2);
         o.pooled_storage = rng.next_bool(0.3);
         o.guard_arena = rng.next_bool(0.25);
-        o.max_run_attempts = opts.max_attempts;
         if (rng.next_bool(opts.deadline_rate))
           // Tight enough that a fraction genuinely expires mid-run, long
           // enough that another fraction finishes: both paths soak.
@@ -243,11 +240,8 @@ ChaosStats run_chaos(const ChaosOptions& opts) {
           }
         }
         Result<double> r = s.execute(e.inputs);
-        local.attempts +=
-            static_cast<std::int64_t>(s.last_report().attempts.size());
         if (r.ok()) {
           ++local.successes;
-          if (s.last_report().degraded) ++local.degraded_successes;
           if (opts.verify_outputs && !outputs_match(s, e)) ++local.mismatches;
         } else {
           switch (r.code()) {
@@ -283,13 +277,12 @@ std::string ChaosStats::summary() const {
   char buf[768];
   std::snprintf(
       buf, sizeof(buf),
-      "chaos: %lld requests in %.2f s (%lld attempts): %lld ok (%lld "
-      "degraded), %lld deadline, %lld resource, %lld fault, %lld alloc, "
-      "%lld other; cache %lld probed / %lld warm / %lld degraded / %lld "
-      "stored; %lld mismatches, %lld uncoded; high-water %lld bytes -> %s",
+      "chaos: %lld requests in %.2f s: %lld ok, %lld deadline, %lld "
+      "resource, %lld fault, %lld alloc, %lld other; cache %lld probed / "
+      "%lld warm / %lld degraded / %lld stored; %lld mismatches, %lld "
+      "uncoded; high-water %lld bytes -> %s",
       static_cast<long long>(requests), seconds,
-      static_cast<long long>(attempts), static_cast<long long>(successes),
-      static_cast<long long>(degraded_successes),
+      static_cast<long long>(successes),
       static_cast<long long>(deadline_exceeded),
       static_cast<long long>(resource_exhausted),
       static_cast<long long>(fault_injected),
@@ -315,13 +308,11 @@ std::string ChaosStats::to_json(int indent) const {
   std::string out = "{\n";
   out += field("requests", requests);
   out += field("successes", successes);
-  out += field("degraded_successes", degraded_successes);
   out += field("deadline_exceeded", deadline_exceeded);
   out += field("resource_exhausted", resource_exhausted);
   out += field("fault_injected", fault_injected);
   out += field("allocation_failed", allocation_failed);
   out += field("other_coded", other_coded);
-  out += field("attempts", attempts);
   out += field("cache_requests", cache_requests);
   out += field("cache_hits", cache_hits);
   out += field("cache_faults", cache_faults);

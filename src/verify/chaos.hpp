@@ -5,8 +5,7 @@
 // every request terminates in a coded state (success, deadline-exceeded,
 // resource-exhausted, fault-injected, ...), no exception ever escapes the
 // Session API uncoded, no crash / hang / leak, and every *successful*
-// request — including ones that succeeded on a degradation-ladder rung —
-// returns outputs bit-identical to the scalar golden reference.
+// request returns outputs bit-identical to the scalar golden reference.
 //
 // Fault points armed here are throwing points only (executor.tile_eval,
 // executor.scratch_alloc, workspace.prepare); silent-corruption faults are
@@ -37,7 +36,6 @@ struct ChaosOptions {
   double max_seconds = 0.0;  // wall-clock cap, 0 = none
   std::uint64_t seed = 1;
   int pipeline_pool = 12;    // distinct generated pipelines to cycle over
-  int max_attempts = 3;      // degradation-ladder depth per request
   bool verify_outputs = true;  // bit-compare successes vs scalar reference
 
   // Persistent schedule-cache soak (storage/findb).  With a non-empty
@@ -57,13 +55,11 @@ struct ChaosOptions {
 struct ChaosStats {
   std::int64_t requests = 0;   // requests actually issued
   std::int64_t successes = 0;  // ok, outputs verified (when enabled)
-  std::int64_t degraded_successes = 0;  // ok on a fallback rung
   std::int64_t deadline_exceeded = 0;
   std::int64_t resource_exhausted = 0;
   std::int64_t fault_injected = 0;
   std::int64_t allocation_failed = 0;
   std::int64_t other_coded = 0;  // any other coded terminal state
-  std::int64_t attempts = 0;     // run attempts across all requests
   // Cache soak counters (0 unless ChaosOptions::cache_dir is set).
   std::int64_t cache_requests = 0;  // requests that probed the cache
   std::int64_t cache_hits = 0;      // warm starts (schedule from cache)

@@ -1,4 +1,4 @@
-// Per-request deadlines and the Session degradation ladder.
+// Per-request deadlines and what a failed Session run leaves behind.
 //
 // The load-bearing invariant: a deadline that expires mid-run cancels
 // cooperatively through the executor's latch, surfaces as exactly one coded
@@ -117,7 +117,6 @@ TEST(SessionDeadlineTest, ExpiredRunDeadlineIsTerminalNoRetry) {
   o.num_threads = 2;
   o.scheduler = Scheduler::kGreedy;
   o.run_deadline_seconds = 1e-9;  // expires before the first tile
-  o.max_run_attempts = 3;         // ladder must NOT be climbed
   Result<Session> sr = Session::open(pl, o);
   ASSERT_TRUE(sr.ok()) << sr.error().what();
   Session s = std::move(sr).value();
@@ -125,92 +124,62 @@ TEST(SessionDeadlineTest, ExpiredRunDeadlineIsTerminalNoRetry) {
   Result<double> r = s.execute(inputs);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kDeadlineExceeded);
-  // kDeadlineExceeded is terminal: exactly one attempt, no degradation.
-  ASSERT_EQ(s.last_report().attempts.size(), 1u);
-  EXPECT_FALSE(s.last_report().succeeded);
-  EXPECT_EQ(s.last_report().attempts[0].config, "full");
-  EXPECT_EQ(s.last_report().attempts[0].code, "deadline-exceeded");
+  // The one attempt reports the same coded error.
+  EXPECT_FALSE(s.last_report().attempt.succeeded);
+  EXPECT_EQ(s.last_report().attempt.code, "deadline-exceeded");
 }
 
-TEST(SessionDeadlineTest, DegradationLadderRetriesFaultAndStaysBitIdentical) {
+// A failed execute() must not leave the previous request's pixels on
+// offer: output() refuses until a run succeeds again, and that run computes
+// the new request's outputs.
+TEST(SessionFailureTest, FailedRunWithdrawsEarlierOutputs) {
   const PipelineSpec spec = make_unsharp(64, 96);
   const Pipeline& pl = *spec.pipeline;
-  const std::vector<Buffer> inputs = spec.make_inputs();
-  const std::vector<Buffer> ref = run_reference(pl, inputs);
+  const std::vector<Buffer> a = spec.make_inputs();
+  std::vector<Buffer> b = spec.make_inputs();
+  for (Buffer& buf : b)
+    for (std::int64_t i = 0; i < buf.volume(); ++i)
+      buf.data()[i] = 1.0f - buf.data()[i];
+  const std::vector<Buffer> ref_a = run_reference(pl, a);
+  const std::vector<Buffer> ref_b = run_reference(pl, b);
+  const int out0 = pl.outputs()[0];
+  ASSERT_GE(testing::first_mismatch(ref_a[static_cast<std::size_t>(out0)],
+                                    ref_b[static_cast<std::size_t>(out0)]),
+            0);
 
   Options o;
   o.num_threads = 2;
   o.scheduler = Scheduler::kGreedy;
-  o.max_run_attempts = 3;
   Result<Session> sr = Session::open(pl, o);
   ASSERT_TRUE(sr.ok()) << sr.error().what();
   Session s = std::move(sr).value();
+  ASSERT_TRUE(s.run(a).ok());
 
-  // The injector's fired-latch makes the fault one-shot: attempt 1 trips it,
-  // attempt 2 (first fallback rung) runs clean.
-  Result<double> r = [&] {
+  {
     FaultGuard guard("executor.tile_eval", ErrorCode::kFaultInjected, 0);
-    return s.execute(inputs);
-  }();
-  ASSERT_TRUE(r.ok()) << r.error().what();
-
-  const observe::RunReport& rep = s.last_report();
-  ASSERT_EQ(rep.attempts.size(), 2u);
-  EXPECT_FALSE(rep.attempts[0].succeeded);
-  EXPECT_EQ(rep.attempts[0].code, "fault-injected");
-  EXPECT_TRUE(rep.attempts[1].succeeded);
-  EXPECT_TRUE(rep.succeeded);
-  EXPECT_TRUE(rep.degraded);
-  EXPECT_EQ(rep.final_config, "no-superops");
-
-  // Degraded success is bit-identical to the scalar reference.
-  for (int i = 0; i < s.num_outputs(); ++i) {
-    const int out = pl.outputs()[static_cast<std::size_t>(i)];
-    EXPECT_LT(testing::first_mismatch(s.output(i),
-                                      ref[static_cast<std::size_t>(out)]),
-              0);
+    Result<double> r = s.execute(b);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), ErrorCode::kFaultInjected);
+  }
+  EXPECT_EQ(s.last_report().attempt.code, "fault-injected");
+  try {
+    (void)s.output(0);
+    FAIL() << "output(0) after a failed execute() returned pixels";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
   }
 
-  // The report renders as a readable attempt ladder.
-  const std::string text = observe::run_report_to_string(rep);
-  EXPECT_NE(text.find("attempt 1 [full]"), std::string::npos);
-  EXPECT_NE(text.find("attempt 2 [no-superops]"), std::string::npos);
-  EXPECT_NE(text.find("degraded"), std::string::npos);
-}
-
-TEST(SessionDeadlineTest, LadderExhaustionReportsLastCodedError) {
-  const PipelineSpec spec = make_unsharp(48, 64);
-  const Pipeline& pl = *spec.pipeline;
-  const std::vector<Buffer> inputs = spec.make_inputs();
-
-  // The injector's fired latch makes each arming one-shot, so to exhaust
-  // the whole ladder the observer re-arms the fault as each failed attempt
-  // is streamed — every rung then trips the same coded error.
-  struct Rearm : observe::Observer {
-    void on_run_attempt(const observe::RunAttempt& a) override {
-      if (!a.succeeded)
-        FaultInjector::arm("executor.tile_eval", ErrorCode::kFaultInjected, 0);
-    }
-  } rearm;
-  Options o2;
-  o2.num_threads = 1;
-  o2.scheduler = Scheduler::kGreedy;
-  o2.max_run_attempts = 3;  // full + 2 rungs
-  o2.observer = &rearm;
-  Result<Session> sr2 = Session::open(pl, o2);
-  ASSERT_TRUE(sr2.ok());
-  Session s2 = std::move(sr2).value();
-
-  FaultInjector::arm("executor.tile_eval", ErrorCode::kFaultInjected, 0);
-  Result<double> r = s2.execute(inputs);
-  FaultInjector::disarm();
-
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kFaultInjected);
-  EXPECT_EQ(s2.last_report().attempts.size(), 3u);
-  EXPECT_FALSE(s2.last_report().succeeded);
-  for (const observe::RunAttempt& a : s2.last_report().attempts)
-    EXPECT_EQ(a.code, "fault-injected");
+  Result<std::vector<Buffer>> again = s.run(b);
+  ASSERT_TRUE(again.ok()) << again.error().what();
+  for (std::size_t i = 0; i < pl.outputs().size(); ++i) {
+    const int out = pl.outputs()[i];
+    EXPECT_LT(testing::first_mismatch(again.value()[i],
+                                      ref_b[static_cast<std::size_t>(out)]),
+              0);
+    EXPECT_LT(testing::first_mismatch(s.output(static_cast<int>(i)),
+                                      ref_b[static_cast<std::size_t>(out)]),
+              0);
+  }
 }
 
 }  // namespace

@@ -142,7 +142,6 @@ TEST(OptionsFingerprintTest, CoversScheduleKnobsOnly) {
   Options threads = base;
   threads.num_threads = 7;
   threads.run_deadline_seconds = 0.25;
-  threads.max_run_attempts = 3;
   EXPECT_EQ(threads.schedule_fingerprint(), fp);
   Options cache = base;
   cache.cache_mode = findb::CacheMode::kReadWrite;

@@ -208,7 +208,7 @@ TEST(OptionsValidationTest, ReportsEveryViolationInOneMessage) {
   o.num_threads = 0;                       // violation 1
   o.greedy_tolerance = -0.1;               // violation 2
   o.deadline_seconds = -1.0;               // violation 3
-  o.max_run_attempts = 0;                  // violation 4
+  o.run_deadline_seconds = -1.0;           // violation 4
   o.greedy_t1 = 0;                         // violation 5 (kAuto uses greedy)
   Result<bool> r = validate_options(o);
   ASSERT_FALSE(r.ok());
@@ -217,7 +217,7 @@ TEST(OptionsValidationTest, ReportsEveryViolationInOneMessage) {
   EXPECT_NE(msg.find("violations"), std::string::npos) << msg;
   for (const char* frag :
        {"num_threads", "greedy_tolerance", "deadline_seconds",
-        "max_run_attempts", "greedy_t1"})
+        "run_deadline_seconds", "greedy_t1"})
     EXPECT_NE(msg.find(frag), std::string::npos) << "missing: " << frag;
   // One "- " bullet per violation.
   int bullets = 0;

@@ -2,7 +2,7 @@
 //
 //   fusedp_chaos [--sessions=8] [--requests=5000] [--fault-rate=0.3]
 //                [--deadline-rate=0.3] [--pool-backend=0.25] [--budget-mb=64]
-//                [--seconds=0] [--seed=1] [--pool=12] [--max-attempts=3]
+//                [--seconds=0] [--seed=1] [--pool=12]
 //                [--cache=DIR] [--cache-rate=0.7] [--cache-corrupt-rate=0.2]
 //                [--cache-fault-rate=0.1]
 //                [--no-verify] [--out=chaos.json]
@@ -15,8 +15,8 @@
 // Soaks N concurrent Sessions over randomly generated pipelines under
 // injected faults, random per-request deadlines and a constrained memory
 // budget, then prints a one-line summary.  Exit code 0 iff the soak is
-// clean: every request terminated in a coded state and every success —
-// degraded or not — was bit-identical to the scalar reference.
+// clean: every request terminated in a coded state and every success was
+// bit-identical to the scalar reference.
 #include <cstdio>
 #include <fstream>
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
         "                    [--deadline-rate=F] [--budget-mb=N | "
         "--budget-kb=N]\n"
         "                    [--seconds=F] [--seed=N] [--pool=N]\n"
-        "                    [--pool-backend=F] [--max-attempts=N]\n"
+        "                    [--pool-backend=F]\n"
         "                    [--cache=DIR] [--cache-rate=F]\n"
         "                    [--cache-corrupt-rate=F] [--cache-fault-rate=F]\n"
         "                    [--no-verify] [--out=PATH]\n");
@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   opts.max_seconds = cli.get_double("seconds", 0.0);
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opts.pipeline_pool = static_cast<int>(cli.get_int("pool", 12));
-  opts.max_attempts = static_cast<int>(cli.get_int("max-attempts", 3));
   opts.verify_outputs = !cli.has("no-verify");
   opts.cache_dir = cli.get("cache", "");
   opts.cache_rate = cli.get_double("cache-rate", 0.7);

@@ -86,7 +86,7 @@ constexpr const char* kScheduleFlags[] = {FUSEDP_SCHEDULING_FLAGS, "save",
 constexpr const char* kDotFlags[] = {FUSEDP_SCHEDULING_FLAGS, nullptr};
 constexpr const char* kRunFlags[] = {
     FUSEDP_SCHEDULING_FLAGS, "threads", "runs", "verify", "pooled", "seed",
-    "cache", "cache-dir", "trace", "report", "run-deadline-ms", "attempts",
+    "cache", "cache-dir", "trace", "report", "run-deadline-ms",
     "mem-budget-mb", nullptr};
 constexpr const char* kVerifyFlags[] = {FUSEDP_SCHEDULING_FLAGS, "seed",
                                         nullptr};
@@ -278,9 +278,8 @@ int cmd_run(const Cli& cli, const std::string& bench) {
   // The report only needs per-group aggregates; tile events are collected
   // only when a timeline is actually being exported.
   opts.trace_tiles = !trace_path.empty();
-  // Request governance: per-run deadline and degradation-ladder depth.
+  // Request governance: a per-run deadline.
   opts.run_deadline_seconds = cli.get_double("run-deadline-ms", 0.0) / 1e3;
-  opts.max_run_attempts = static_cast<int>(cli.get_int("attempts", 1));
   // Process-wide Workspace/ScratchArena budget (0 = unlimited): overruns
   // surface as resource-exhausted (exit code 6) instead of OOM.
   const std::int64_t budget_mb = cli.get_int("mem-budget-mb", 0);
@@ -320,7 +319,7 @@ int cmd_run(const Cli& cli, const std::string& bench) {
     std::printf("\n%s", plan_to_string(session.plan(), session.trace(),
                                         &run_model)
                              .c_str());
-    // The degradation-ladder post-mortem of the most recent execute().
+    // The outcome of the most recent execute().
     std::printf("\n%s",
                 observe::run_report_to_string(session.last_report()).c_str());
   }
@@ -602,11 +601,10 @@ void usage() {
       "       --top-k=K --repeats=R  (--scheduler=measured shoot-out)\n"
       "       --deadline-ms=D --max-states=S   (search budgets)\n"
       "       --run-deadline-ms=D  (per-request execution deadline)\n"
-      "       --attempts=N         (degradation-ladder depth, default 1)\n"
       "       --mem-budget-mb=N    (workspace/arena budget, 0 = unlimited)\n"
       "       --trace=FILE (chrome trace_event JSON of the measured run)\n"
-      "       --report     (per-group predicted-vs-measured table + attempt "
-      "ladder)\n"
+      "       --report     (per-group predicted-vs-measured table + run "
+      "report)\n"
       "exit codes: 0 ok, 2 usage, 3 invalid input, 4 budget/deadline "
       "exhausted, 5 internal, 6 resource budget exhausted\n",
       scheduler_spellings().c_str(), kManual);
